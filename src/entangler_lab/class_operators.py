@@ -5,7 +5,9 @@ e^{i phi_kl} with an antisymmetric phase table (so the diagonal is 1).  Its
 zero-diagonal counterpart with the uniform phase phi is the building block
 here: with phi = pi/2 it marks a "pair" slot, with phi = pi it is a sigma_x
 look-alike up to a global sign (entries e^{+-i pi} = -1, not +1; the sign
-cancels in every even-order condition value).
+cancels in every even-order condition value).  At multiples of pi/2 the
+blocks are built with exact entries (+-1, +-i), so no rounding residue of
+e^{i phi} leaks into condition values.
 
 Two operator families are assembled per subsystem pair (r1, r2):
 
@@ -13,6 +15,12 @@ Two operator families are assembled per subsystem pair (r1, r2):
   pairwise (W-style) entanglement between r1 and r2.
 * GHZ kind  -- pi/2 blocks on the pair, pi blocks on every other slot;
   pairs fully complementary index tuples.
+
+`class_operator` materialises one of these as a dense N^m x N^m matrix.  It
+is the reference route for tests, demos and the three-party expansion
+cross-check; `concurrence.classify` never builds it and instead applies the
+same N x N blocks along single axes of the amplitude tensor.  Nothing here
+is cached.
 """
 
 from __future__ import annotations
@@ -21,7 +29,6 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -68,14 +75,23 @@ def povm_element(N: int, phases: np.ndarray) -> OperatorMatrix:
     return OperatorMatrix((N,), np.exp(1j * table))
 
 
+def _unit_phase(phi: float) -> complex:
+    """e^{i phi}, exactly 1, i, -1 or -i when phi is a multiple of pi/2."""
+    quarter_turns = float(phi) / (math.pi / 2)
+    if quarter_turns.is_integer():
+        return (complex(1, 0), complex(0, 1), complex(-1, 0), complex(0, -1))[int(quarter_turns) % 4]
+    return complex(np.exp(1j * phi))
+
+
 def tilde_operator(N: int, phi: float) -> OperatorMatrix:
     """Zero-diagonal phase matrix: e^{i phi} above the diagonal, e^{-i phi} below.
 
     Equals the uniform-phase POVM element minus its (identity) diagonal.  For
-    phi = 0 and N = 2 this is sigma_x; for phi = pi it is -sigma_x.
+    phi = 0 and N = 2 this is sigma_x; for phi = pi it is -sigma_x.  At
+    multiples of pi/2 the entries are exact.
     """
     mat = np.zeros((N, N), dtype=complex)
-    above = np.exp(1j * phi)
+    above = _unit_phase(phi)
     for k in range(N):
         for l in range(k + 1, N):
             mat[k, l] = above
@@ -104,22 +120,17 @@ class ClassOperatorSpec:
         return len(self.dims)
 
 
-@lru_cache(maxsize=256)
-def _class_operator_cached(dims: tuple[int, ...], kind: ClassKind, pair: tuple[int, int]) -> OperatorMatrix:
+def class_operator(spec: ClassOperatorSpec) -> OperatorMatrix:
+    """Dense tensor-product condition operator for the given kind and subsystem pair."""
     factors = []
-    for slot, n in enumerate(dims, start=1):
-        if slot in pair:
+    for slot, n in enumerate(spec.dims, start=1):
+        if slot in spec.pair:
             factors.append(tilde_operator(n, CONCURRENCE_PHASE).mat)
-        elif kind is ClassKind.EPR:
+        elif spec.kind is ClassKind.EPR:
             factors.append(np.eye(n, dtype=complex))
         else:
             factors.append(tilde_operator(n, FLIP_PHASE).mat)
-    return OperatorMatrix(dims, kron_all(factors))
-
-
-def class_operator(spec: ClassOperatorSpec) -> OperatorMatrix:
-    """Tensor-product condition operator for the given kind and subsystem pair."""
-    return _class_operator_cached(spec.dims, spec.kind, spec.pair)
+    return OperatorMatrix(spec.dims, kron_all(factors))
 
 
 def pair_specs(dims: Sequence[int], kind: ClassKind) -> list[ClassOperatorSpec]:

@@ -8,6 +8,14 @@ routes agree up to fixed proportionality constants (+2 for the EPR/W family,
 pair and the phase convention of the pi-blocks contributes a sign.  Keeping
 both routes makes each an independent check on the other.
 
+`classify` never forms an operator.  Every class operator is a Kronecker
+product of N x N blocks, so it applies each block along one axis of the
+amplitude tensor (an n-mode product) and gets all 2*C(m,2) values of an
+m-party state of dimension d from 4m mode products and two m x m Gram-type
+products: O(m*d*N + m^2*d) time and O(m*d) memory, with no operator cache.
+`bilinear_condition` with the dense `class_operator` is the reference route
+the tests compare it against.
+
 Every condition value is homogeneous of degree 2 in the amplitudes, so
 verdicts use the scale-free ratio |value| / norm^2 against a tolerance.
 """
@@ -15,9 +23,14 @@ verdicts use the scale-free ratio |value| / norm^2 against a tolerance.
 from __future__ import annotations
 
 import enum
+import itertools
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .class_operators import ClassKind, ClassOperatorSpec, class_operator, pair_specs
+import numpy as np
+
+from .class_operators import CONCURRENCE_PHASE, FLIP_PHASE, ClassKind, tilde_operator
 from .state_core import DEFAULT_TOL, OperatorMatrix, PureState, flatten
 
 EPR_OPERATOR_FACTOR = 2.0
@@ -148,19 +161,44 @@ def ghz_expansion_3q(state: PureState, pair: tuple[int, int]) -> complex:
     return total
 
 
-def condition_value(state: PureState, spec: ClassOperatorSpec, norm2: float | None = None) -> ConditionValue:
-    """Evaluate one condition through the operator route."""
-    if norm2 is None:
-        norm2 = state.norm2
-    value = bilinear_condition(state, class_operator(spec))
-    magnitude = abs(value)
-    return ConditionValue(
-        kind=spec.kind,
-        pair=spec.pair,
-        value=value,
-        magnitude=magnitude,
-        normalized_magnitude=magnitude / norm2,
-    )
+@lru_cache(maxsize=16)
+def _blocks(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The N x N factors of the kernel: T(pi/2), T(pi) and X = T(pi)^-1 T(pi/2).
+
+    T(pi) = I - J with J the all-ones matrix, so its inverse is I - J/(N-1),
+    and J T(pi/2) repeats the column sums of T(pi/2) in every row.
+    """
+    pair = tilde_operator(N, CONCURRENCE_PHASE).mat
+    flip = tilde_operator(N, FLIP_PHASE).mat
+    x = pair - pair.sum(axis=0) / (N - 1)
+    x.setflags(write=False)
+    return pair, flip, x
+
+
+def _condition_matrices(state: PureState) -> tuple[np.ndarray, np.ndarray]:
+    """m x m matrices whose (r, s) entries, r < s, are the EPR and GHZ values of pair (r+1, s+1).
+
+    EPR: with b_r = T(pi/2) applied along axis r, the value is
+    a^T T_r T_s a = (T_r^T a)^T (T_s a) = -b_r . b_s, since T(pi/2) is
+    antisymmetric.  GHZ: T(pi) X = T(pi/2), so the operator is P X_r X_s
+    with P = (x) T(pi) over all axes, and with c = P a (P is symmetric) the
+    value is (X_r^T c) . (X_s a).  Both dot products are unconjugated.
+    """
+    dims, a = state.dims, state.amps
+    b, y, z = [], [], []
+    # Axis r of the amplitude tensor as the middle axis of a 3-d view, so
+    # that a matmul with an N x N block is the mode product along axis r.
+    axes = [((math.prod(dims[:r]), n, -1), _blocks(n)) for r, n in enumerate(dims)]
+    c = a
+    for shape, (pair, flip, x) in axes:
+        tensor = a.reshape(shape)
+        b.append(np.matmul(pair, tensor).reshape(-1))
+        z.append(np.matmul(x, tensor).reshape(-1))
+        c = np.matmul(flip, c.reshape(shape))
+    for shape, (_, _, x) in axes:
+        y.append(np.matmul(x.T, c.reshape(shape)).reshape(-1))
+    b, y, z = np.array(b), np.array(y), np.array(z)
+    return -(b @ b.T), y @ z.T
 
 
 def classify(state: PureState, tol: float = DEFAULT_TOL, label: str | None = None) -> ConditionReport:
@@ -177,9 +215,13 @@ def classify(state: PureState, tol: float = DEFAULT_TOL, label: str | None = Non
     if norm2 == 0.0:
         raise ValueError("cannot classify the zero vector")
     values = []
-    for kind in (ClassKind.EPR, ClassKind.GHZ):
-        for spec in pair_specs(state.dims, kind):
-            values.append(condition_value(state, spec, norm2))
+    if state.m > 1:  # a single subsystem has no pairs
+        for kind, matrix in zip((ClassKind.EPR, ClassKind.GHZ), _condition_matrices(state)):
+            rows = matrix.tolist()
+            for r, s in itertools.combinations(range(state.m), 2):
+                value = rows[r][s]
+                magnitude = abs(value)
+                values.append(ConditionValue(kind, (r + 1, s + 1), value, magnitude, magnitude / norm2))
     epr_fired = any(v.fires(tol) for v in values if v.kind is ClassKind.EPR)
     ghz_fired = any(v.fires(tol) for v in values if v.kind is ClassKind.GHZ)
     if epr_fired and ghz_fired:

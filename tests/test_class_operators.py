@@ -50,14 +50,22 @@ def test_phase_assignment_table_antisymmetric():
 
 
 def test_tilde_pi_is_minus_sigma_x():
-    # entries e^{+-i pi} = -1; the global sign cancels in every condition value
+    # entries e^{+-i pi} = -1 exactly; the global sign cancels in every condition value
     op = tilde_operator(2, np.pi)
-    assert np.allclose(op.mat, [[0, -1], [-1, 0]], atol=1e-15)
+    assert np.array_equal(op.mat, [[0, -1], [-1, 0]])
 
 
 def test_tilde_half_pi():
     op = tilde_operator(2, np.pi / 2)
-    assert np.allclose(op.mat, [[0, 1j], [-1j, 0]], atol=1e-15)
+    assert np.array_equal(op.mat, [[0, 1j], [-1j, 0]])
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_pair_and_flip_blocks_are_exact(N):
+    # classify relies on T(pi) = I - J exactly (J the all-ones matrix)
+    upper = np.triu(np.ones((N, N)), 1)
+    assert np.array_equal(tilde_operator(N, np.pi).mat, np.eye(N) - np.ones((N, N)))
+    assert np.array_equal(tilde_operator(N, np.pi / 2).mat, 1j * (upper - upper.T))
 
 
 def test_tilde_zero_phase_is_sigma_x():

@@ -2,15 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from entangler_lab import class_operators, state_core
 from entangler_lab.class_operators import ClassKind, ClassOperatorSpec, class_operator, pair_specs
 from entangler_lab.concurrence import (
+    EPR_OPERATOR_FACTOR,
+    GHZ_OPERATOR_FACTOR,
     Verdict,
     bilinear_condition,
     classify,
     epr_expansion_3q,
     ghz_expansion_3q,
 )
+from entangler_lab.entangler import EntanglerSpec, EvaluationTarget, proposition_check
 from entangler_lab.state_core import (
     PureState,
     basis_state,
@@ -206,3 +212,117 @@ def test_report_contains_all_pairs():
     report = classify(random_state((2, 2, 2, 2)))
     assert len(report.values) == 2 * 6
     assert len({(v.kind, v.pair) for v in report.values}) == 12
+
+
+# ---------------------------------------------------------------------------
+# the mode-product kernel of classify against the dense operator route
+
+KERNEL_RTOL = 1e-12
+
+mixed_dims = st.lists(st.integers(2, 4), min_size=1, max_size=5).map(tuple)
+seeds = st.integers(0, 2**32 - 1)
+log_scales = st.floats(-3.0, 3.0)  # amplitudes scaled by 1e-3 .. 1e3
+
+
+def drawn_state(dims, seed, log_scale):
+    g = np.random.default_rng(seed)
+    n = math.prod(dims)
+    return PureState(dims, 10.0**log_scale * (g.normal(size=n) + 1j * g.normal(size=n)))
+
+
+def drawn_product(dims, seed, log_scale):
+    g = np.random.default_rng(seed)
+    factors = [PureState((n,), g.normal(size=n) + 1j * g.normal(size=n)) for n in dims]
+    return PureState(dims, 10.0**log_scale * product_state(factors).amps)
+
+
+def dense_values(state):
+    """(kind, pair) -> value through class_operator + bilinear_condition."""
+    return {
+        (spec.kind, spec.pair): bilinear_condition(state, class_operator(spec))
+        for kind in ClassKind
+        for spec in pair_specs(state.dims, kind)
+    }
+
+
+def dense_verdict(state, tol):
+    fired = {kind for (kind, _), value in dense_values(state).items() if abs(value) / state.norm2 > tol}
+    if fired == {ClassKind.EPR, ClassKind.GHZ}:
+        return Verdict.BOTH
+    if fired == {ClassKind.EPR}:
+        return Verdict.W_CLASS_CONDITIONS
+    if fired == {ClassKind.GHZ}:
+        return Verdict.GHZ_CLASS_CONDITIONS
+    return Verdict.NO_CONDITION_FIRES
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_dims, seeds, log_scales)
+def test_kernel_matches_dense_route(dims, seed, log_scale):
+    state = drawn_state(dims, seed, log_scale)
+    report = classify(state)
+    dense = dense_values(state)
+    assert [(v.kind, v.pair) for v in report.values] == list(dense)
+    for v in report.values:
+        assert abs(v.value - dense[v.kind, v.pair]) <= KERNEL_RTOL * state.norm2
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_dims, seeds, log_scales)
+def test_kernel_vanishes_on_product_states(dims, seed, log_scale):
+    report = classify(drawn_product(dims, seed, log_scale))
+    assert all(v.normalized_magnitude <= KERNEL_RTOL for v in report.values)
+    assert report.verdict is Verdict.NO_CONDITION_FIRES
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(2, 4), min_size=3, max_size=3).map(tuple), seeds, log_scales)
+def test_kernel_equals_scaled_expansions(dims, seed, log_scale):
+    state = drawn_state(dims, seed, log_scale)
+    for v in classify(state).values:
+        if v.kind is ClassKind.EPR:
+            expected = EPR_OPERATOR_FACTOR * epr_expansion_3q(state, v.pair)
+        else:
+            expected = GHZ_OPERATOR_FACTOR * ghz_expansion_3q(state, v.pair)
+        assert abs(v.value - expected) <= KERNEL_RTOL * state.norm2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(2, 4), min_size=1, max_size=2).map(tuple), seeds, log_scales, st.booleans())
+def test_kernel_verdicts_for_one_and_two_parties(dims, seed, log_scale, product):
+    state = (drawn_product if product else drawn_state)(dims, seed, log_scale)
+    report = classify(state)
+    assert len(report.values) == 2 * math.comb(len(dims), 2)
+    assert report.verdict is dense_verdict(state, report.tol)
+
+
+def test_classify_and_proposition_check_build_no_dense_operator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense class operator was built")
+
+    monkeypatch.setattr(class_operators, "class_operator", refuse)
+    monkeypatch.setattr(class_operators, "kron_all", refuse)
+    monkeypatch.setattr(state_core, "kron_all", refuse)
+    assert classify(ghz_state()).verdict is Verdict.GHZ_CLASS_CONDITIONS
+    assert classify(random_state((2, 3, 4, 2))).verdict is Verdict.BOTH
+    spec = EntanglerSpec(3, 2, np.exp(1j * rng.uniform(0, 2 * np.pi, 8)))
+    for kind in ClassKind:
+        for target in EvaluationTarget:
+            assert proposition_check(spec, kind, target).report.values
+
+
+@pytest.mark.parametrize(
+    "state, verdict, fired_kind, magnitude",
+    [
+        (ghz_state(12), Verdict.GHZ_CLASS_CONDITIONS, ClassKind.GHZ, 1.0),
+        (w_state(12), Verdict.W_CLASS_CONDITIONS, ClassKind.EPR, 2 / 12),
+    ],
+    ids=["ghz", "w"],
+)
+def test_classify_twelve_qubits(state, verdict, fired_kind, magnitude):
+    # the dense route would need 132 operators of 4096 x 4096 (268 MB each)
+    report = classify(state)
+    assert report.verdict is verdict
+    for v in report.values:
+        expected = magnitude if v.kind is fired_kind else 0.0
+        assert v.normalized_magnitude == pytest.approx(expected, abs=1e-12)
