@@ -9,6 +9,12 @@ whenever R satisfies the Yang-Baxter equation
 and generators on disjoint slots commute for any R whatsoever.  Everything is
 measured as an entry-wise max residual rather than assumed: residuals are
 data, and verdicts are residual <= tol.
+
+Padding with identities does not change an entry-wise max, so the relations
+are measured on the smallest window that holds them: every adjacent residual
+is the 3-strand Yang-Baxter residual, and every commuting residual is the
+4-strand residual of R (x) I_{d^2} against I_{d^2} (x) R.  No n-strand matrix
+is built; `StrandRep.generator` remains as the dense reference.
 """
 
 from __future__ import annotations
@@ -66,11 +72,10 @@ class QuasitriangularResult:
 
 
 class StrandRep:
-    """Generators tau(b_i) of the n-strand representation induced by R.
+    """The n-strand representation induced by R, checked against MAX_TOTAL_DIM.
 
-    Generators are built lazily and memoized; a concurrent first access may
-    build the same matrix twice, which is harmless (identical read-only
-    results, atomic dict assignment).
+    `generator(i)` builds the dense d^n x d^n matrix tau(b_i) on every call;
+    the relation checks never need it.
     """
 
     def __init__(self, n: int, R: OperatorMatrix | np.ndarray):
@@ -85,21 +90,15 @@ class StrandRep:
         self.n = n
         self.v_dim = d
         self.R = mat
-        self._generators: dict[int, np.ndarray] = {}
 
     def generator(self, i: int) -> np.ndarray:
         """tau(b_i) for 1 <= i <= n-1."""
         if not 1 <= i <= self.n - 1:
             raise ValueError(f"generator index {i} outside 1..{self.n - 1}")
-        cached = self._generators.get(i)
-        if cached is None:
-            d = self.v_dim
-            left = np.eye(d ** (i - 1), dtype=complex)
-            right = np.eye(d ** (self.n - i - 1), dtype=complex)
-            cached = np.kron(left, np.kron(self.R, right))
-            cached.setflags(write=False)
-            self._generators[i] = cached
-        return cached
+        d = self.v_dim
+        left = np.eye(d ** (i - 1), dtype=complex)
+        right = np.eye(d ** (self.n - i - 1), dtype=complex)
+        return np.kron(left, np.kron(self.R, right))
 
     def generators(self) -> list[np.ndarray]:
         return [self.generator(i) for i in range(1, self.n)]
@@ -120,36 +119,32 @@ def check_braid_relations(rep: StrandRep, tol: float = DEFAULT_TOL) -> BraidRela
     """Verify commutation on disjoint slots and the braid relation on adjacent ones.
 
     Commutation needs n >= 4 to be nontrivial; the adjacent relation needs
-    n >= 3.  With fewer strands the corresponding list is simply empty.
+    n >= 3.  With fewer strands the corresponding list is simply empty.  Each
+    residual is measured once on its window and reported for every i or pair.
     """
-    commuting = []
-    for i in range(1, rep.n):
-        for j in range(i + 2, rep.n):
-            ti, tj = rep.generator(i), rep.generator(j)
-            commuting.append((i, j, float(np.max(np.abs(ti @ tj - tj @ ti)))))
-    adjacent = []
-    for i in range(1, rep.n - 1):
-        ti, tj = rep.generator(i), rep.generator(i + 1)
-        adjacent.append((i, float(np.max(np.abs(ti @ tj @ ti - tj @ ti @ tj)))))
-    max_comm = max((r for _, _, r in commuting), default=0.0)
-    max_adj = max((r for _, r in adjacent), default=0.0)
+    n = rep.n
+    adjacent_residual = check_ybe(rep.R).residual if n >= 3 else 0.0
+    adjacent = tuple((i, adjacent_residual) for i in range(1, n - 1))
+    commuting_residual = 0.0
+    if n >= 4:
+        a = np.kron(rep.R, np.eye(rep.v_dim**2, dtype=complex))
+        b = np.kron(np.eye(rep.v_dim**2, dtype=complex), rep.R)
+        commuting_residual = float(np.max(np.abs(a @ b - b @ a)))
+    commuting = tuple((i, j, commuting_residual) for i in range(1, n) for j in range(i + 2, n))
     return BraidRelationReport(
-        n=rep.n,
-        commuting=tuple(commuting),
-        adjacent=tuple(adjacent),
-        max_commuting_residual=max_comm,
-        max_adjacent_residual=max_adj,
-        passed=max_comm <= tol and max_adj <= tol,
+        n=n,
+        commuting=commuting,
+        adjacent=adjacent,
+        max_commuting_residual=commuting_residual,
+        max_adjacent_residual=adjacent_residual,
+        passed=commuting_residual <= tol and adjacent_residual <= tol,
     )
 
 
 def factor_swap(d: int) -> np.ndarray:
     """The permutation exchanging the two d-dimensional tensor factors."""
-    pi = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            pi[i * d + j, j * d + i] = 1.0
-    return pi
+    perm = np.arange(d * d).reshape(d, d).T.ravel()
+    return np.eye(d * d, dtype=complex)[perm]
 
 
 def check_quasitriangular(R: OperatorMatrix | np.ndarray, tol: float = DEFAULT_TOL) -> QuasitriangularResult:

@@ -294,13 +294,14 @@ def _cmd_entangler(args, out) -> int:
         "ordering_with_ascending_diagonal": decomposition.ordering,
         "ascending_diagonal": [_pair(z) for z in decomposition.pr_diagonal],
     }
+    if args.check_ybe and spec.m != 2:
+        raise SchemaError("--check-ybe: requires m = 2 (the gate must act on two strands)")
+    r = build_r(spec) if args.check_unitary or args.check_ybe else None
     if args.check_unitary:
-        unit = check_unitary(build_r(spec), tol)
+        unit = check_unitary(r, tol)
         doc["unitarity"] = {"max_deviation": unit.max_deviation, "passed": unit.passed}
     if args.check_ybe:
-        if spec.m != 2:
-            raise SchemaError("--check-ybe: requires m = 2 (the gate must act on two strands)")
-        ybe = check_ybe(build_r(spec), tol)
+        ybe = check_ybe(r, tol)
         doc["ybe"] = {"residual": ybe.residual, "passed": ybe.passed}
     output_state = apply_entangler(spec, uniform_input(spec.m, spec.N))
     if args.apply_uniform:

@@ -5,10 +5,12 @@ alpha_{1...1} and alpha_{N...N} sit on the two diagonal corners, and interior
 row q carries, on the antidiagonal, the alpha whose multi-index is the
 digit-complement of q (j_k -> N_k + 1 - j_k; for qubits the bitwise
 complement).  Each row and column then holds exactly one entry, so R is
-unitary exactly when every |alpha| = 1, and R factors through the
-corner-fixing interior-reversal permutation P into a diagonal phase gate:
-P @ R is diagonal with the alphas in ascending multi-index order, R @ P is
-diagonal with the interior order reversed.
+unitary exactly when every |alpha| = 1, and R is monomial: R[q, s(q)] =
+alpha[s(q)] for the corner-fixing interior reversal s (an involution), so
+R = phase gate x swap gate with P = I[s].  P @ R is diagonal with the alphas
+in ascending multi-index order, R @ P is diagonal with the interior order
+reversed.  The functions here read that structure off (s, alpha) instead of
+multiplying d x d matrices: applying the gate is an O(d) gather.
 
 Applied to the uniform product input (|1>+...+|N>)^(x m), the gate writes
 alpha values directly into the output amplitudes, which is what makes the
@@ -92,14 +94,17 @@ class PropositionCheck:
     agreement: str | None
 
 
+def _reversal(dim: int) -> np.ndarray:
+    """Corner-fixing interior reversal s: 0 -> 0, q -> dim-1-q, dim-1 -> dim-1."""
+    return np.r_[0, dim - 2 : 0 : -1, dim - 1]
+
+
 def build_r(spec: EntanglerSpec) -> OperatorMatrix:
-    """Materialize the gate: diagonal corners plus complement-indexed antidiagonal band."""
+    """Materialize the gate: row q holds alpha[s(q)] in column s(q)."""
     d = spec.dim
+    s = _reversal(d)
     mat = np.zeros((d, d), dtype=complex)
-    mat[0, 0] = spec.alpha[0]
-    mat[d - 1, d - 1] = spec.alpha[d - 1]
-    for q in range(1, d - 1):
-        mat[q, d - 1 - q] = spec.alpha[d - 1 - q]
+    mat[np.arange(d), s] = spec.alpha[s]
     return OperatorMatrix((spec.N,) * spec.m, mat)
 
 
@@ -116,44 +121,32 @@ def swap_gate(dim: int) -> np.ndarray:
     """Permutation fixing the first and last basis vectors and reversing the interior."""
     if dim < 2:
         raise ValueError("dim must be >= 2")
-    p = np.zeros((dim, dim), dtype=complex)
-    p[0, 0] = 1.0
-    p[dim - 1, dim - 1] = 1.0
-    for q in range(1, dim - 1):
-        p[q, dim - 1 - q] = 1.0
-    return p
+    return np.eye(dim, dtype=complex)[_reversal(dim)]
 
 
 def phase_swap_decomposition(spec: EntanglerSpec) -> PhaseSwapDecomposition:
     """Factor the gate into phase gate x swap gate.
 
-    Both P @ R and R @ P come out exactly diagonal (the products only ever
-    combine the single nonzero of each row/column); the ascending-ordered
-    diagonal comes from P @ R, while R @ P carries the interior in reversed
-    order.
+    With P = I[s], (P @ R)[q, q] = R[s(q), q] = alpha[q] and
+    (R @ P)[q, q] = R[q, s(q)] = alpha[s(q)], and every off-diagonal entry of
+    either product is zero, so both diagonals are read off alpha without
+    forming a product: the ascending-ordered diagonal comes from P @ R, while
+    R @ P carries the interior in reversed order.
     """
-    r = build_r(spec).mat
-    p = swap_gate(spec.dim)
-    pr = p @ r
-    rp = r @ p
-    for name, product in (("P@R", pr), ("R@P", rp)):
-        off = product - np.diag(np.diag(product))
-        if np.count_nonzero(off):
-            raise AssertionError(f"{name} is not exactly diagonal")
-    pr_diag = np.diag(pr)
-    rp_diag = np.diag(rp)
-    ordering = "P@R" if np.array_equal(pr_diag, spec.alpha) else "R@P"
-    phase = pr if ordering == "P@R" else rp
     return PhaseSwapDecomposition(
-        phase=phase, swap=p, ordering=ordering, pr_diagonal=pr_diag, rp_diagonal=rp_diag
+        phase=np.diag(spec.alpha),
+        swap=swap_gate(spec.dim),
+        ordering="P@R",
+        pr_diagonal=spec.alpha,
+        rp_diagonal=spec.alpha[_reversal(spec.dim)],
     )
 
 
 def apply_entangler(spec: EntanglerSpec, state: PureState) -> PureState:
-    """Matrix-vector product of the gate with an input state of total dimension N^m."""
+    """The gate on an input state of total dimension N^m: out[q] = alpha[s(q)] a[s(q)]."""
     if state.dim != spec.dim:
         raise ValueError(f"input dimension {state.dim} does not match gate dimension {spec.dim}")
-    out = build_r(spec).mat @ state.amps
+    out = (spec.alpha * state.amps)[_reversal(spec.dim)]
     return PureState((spec.N,) * spec.m, out)
 
 

@@ -29,6 +29,7 @@ from entangler_lab.entangler import (
     check_unitary,
     phase_swap_decomposition,
     proposition_check,
+    swap_gate,
 )
 from entangler_lab.oracle import (
     StateClass,
@@ -141,7 +142,10 @@ def test_criterion_6_phase_swap_decomposition():
         n = int(rng.integers(2, 4))
         alpha = rng.normal(size=n**m) + 1j * rng.normal(size=n**m)
         spec = EntanglerSpec(m, n, alpha)
-        dec = phase_swap_decomposition(spec)  # raises if either product has off-diagonal entries
+        dec = phase_swap_decomposition(spec)  # read off alpha; the dense products must agree exactly
+        r, p = build_r(spec).mat, swap_gate(spec.dim)
+        assert np.array_equal(p @ r, np.diag(dec.pr_diagonal))
+        assert np.array_equal(r @ p, np.diag(dec.rp_diagonal))
         assert dec.ordering == "P@R"
         assert np.array_equal(dec.pr_diagonal, spec.alpha)
     report(6, "200 specs: P@R and R@P exactly diagonal, P@R diagonal = alpha ascending")

@@ -102,9 +102,47 @@ def test_generator_embedding():
         rep.generator(3)
 
 
-def test_generator_memoized():
-    rep = StrandRep(3, SWAP2)
-    assert rep.generator(1) is rep.generator(1)
+# ---------------------------------------------------------------------------
+# the 3/4-strand windows against the dense n-strand generators
+
+
+def random_operator(d):
+    return rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+
+
+def gate_operator(d):
+    return build_r(EntanglerSpec(2, d, np.exp(1j * rng.uniform(0, 2 * np.pi, d * d)))).mat
+
+
+@pytest.mark.parametrize("d,n", [(2, 6), (3, 5), (4, 4)])
+@pytest.mark.parametrize("make", [random_operator, gate_operator])
+def test_windowed_residuals_match_dense_generators(d, n, make):
+    mat = make(d)
+    rep = StrandRep(n, mat)
+    report = check_braid_relations(rep)
+    assert [i for i, _ in report.adjacent] == list(range(1, n - 1))
+    for i, residual in report.adjacent:
+        ti, tj = rep.generator(i), rep.generator(i + 1)
+        dense = np.max(np.abs(ti @ tj @ ti - tj @ ti @ tj))
+        assert residual == pytest.approx(dense, rel=1e-12)
+    bound = 1e-14 * np.max(np.abs(mat)) ** 2
+    pairs = [(i, j) for i in range(1, n) for j in range(i + 2, n)]
+    assert [(i, j) for i, j, _ in report.commuting] == pairs
+    for i, j, residual in report.commuting:
+        ti, tj = rep.generator(i), rep.generator(j)
+        assert residual <= bound
+        assert np.max(np.abs(ti @ tj - tj @ ti)) <= bound
+
+
+def test_braid_relations_build_no_generator_at_the_cap(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("n-strand generator built")
+
+    monkeypatch.setattr(StrandRep, "generator", refuse)
+    mat = random_operator(2)
+    report = check_braid_relations(StrandRep(12, mat))  # 2^12 = 4096 is the cap
+    assert len(report.adjacent) == 10 and len(report.commuting) == 45
+    assert report.max_adjacent_residual == check_ybe(mat).residual
 
 
 def test_strand_validation():
@@ -113,6 +151,15 @@ def test_strand_validation():
     with pytest.raises(ValueError):
         StrandRep(13, SWAP2)  # 2^13 > 4096
     StrandRep(12, SWAP2)  # 2^12 = 4096 is the cap
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_factor_swap_exchanges_tensor_factors(d):
+    expected = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            expected[i * d + j, j * d + i] = 1.0
+    assert np.array_equal(factor_swap(d), expected)
 
 
 def test_quasitriangular_identity_and_swap():

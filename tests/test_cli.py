@@ -263,6 +263,20 @@ def test_braid_random_matrix_exit_zero(tmp_path, capsys):
     assert parsed["braid_relations"]["commuting"] == []
 
 
+def test_braid_twelve_strands_at_the_cap(tmp_path, capsys):
+    rng = np.random.default_rng(12)
+    mat = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    doc = [[[float(z.real), float(z.imag)] for z in row] for row in mat]
+    path = write_json(tmp_path, "rand12.json", doc)
+    code, out, _ = run(capsys, "braid", "--r-file", path, "--strands", "12", "--json")
+    assert code == EXIT_OK
+    parsed = json.loads(out)
+    relations = parsed["braid_relations"]
+    assert [a["i"] for a in relations["adjacent"]] == list(range(1, 11))
+    assert all(a["residual"] == parsed["ybe"]["residual"] for a in relations["adjacent"])
+    assert len(relations["commuting"]) == 45
+
+
 def test_braid_non_square_dimension(tmp_path, capsys):
     path = write_json(tmp_path, "odd.json", identity_matrix_doc(3))
     code, _, err = run(capsys, "braid", "--r-file", path, "--strands", "3")

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import entangler_lab.entangler as entangler_module
 from entangler_lab.class_operators import ClassKind
 from entangler_lab.concurrence import Verdict, ghz_expansion_3q
 from entangler_lab.entangler import (
@@ -15,7 +18,7 @@ from entangler_lab.entangler import (
     swap_gate,
 )
 from entangler_lab.oracle import StateClass, oracle_classify, partial_trace, wootters_concurrence
-from entangler_lab.state_core import uniform_input
+from entangler_lab.state_core import PureState, uniform_input
 
 rng = np.random.default_rng(4242)
 
@@ -122,6 +125,61 @@ def test_phase_swap_decomposition_exact():
         expected_rp[1 : d - 1] = expected_rp[1 : d - 1][::-1]
         assert np.array_equal(dec.rp_diagonal, expected_rp)
         assert np.array_equal(np.diag(np.diag(dec.phase)), dec.phase)
+
+
+# ---------------------------------------------------------------------------
+# the gate as (interior reversal, alpha) against the dense matrix
+
+gate_shapes = st.tuples(st.integers(2, 4), st.integers(2, 4))  # (m, N)
+seeds = st.integers(0, 2**32 - 1)
+log_scales = st.floats(-3.0, 3.0)  # entries scaled by 1e-3 .. 1e3
+
+
+def drawn_vector(g, size, log_scale):
+    return 10.0**log_scale * (g.normal(size=size) + 1j * g.normal(size=size))
+
+
+@settings(max_examples=60, deadline=None)
+@given(gate_shapes, seeds, log_scales)
+def test_decomposition_equals_dense_products(shape, seed, log_scale):
+    m, N = shape
+    spec = EntanglerSpec(m, N, drawn_vector(np.random.default_rng(seed), N**m, log_scale))
+    r = build_r(spec).mat
+    p = swap_gate(spec.dim)
+    dec = phase_swap_decomposition(spec)
+    # each product only ever combines the single nonzero of a row and a column
+    assert np.array_equal(p @ r, np.diag(spec.alpha))
+    assert np.array_equal(r @ p, np.diag(dec.rp_diagonal))
+    assert np.array_equal(dec.phase, np.diag(dec.pr_diagonal))
+    assert np.array_equal(dec.pr_diagonal, spec.alpha)
+    assert np.array_equal(dec.swap, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gate_shapes, seeds, log_scales, log_scales)
+def test_apply_equals_dense_matvec(shape, seed, alpha_scale, amp_scale):
+    m, N = shape
+    g = np.random.default_rng(seed)
+    spec = EntanglerSpec(m, N, drawn_vector(g, N**m, alpha_scale))
+    state = PureState((N,) * m, drawn_vector(g, N**m, amp_scale))
+    r = build_r(spec).mat
+    bound = 1e-15 * np.max(np.abs(spec.alpha)) * np.max(np.abs(state.amps))
+    assert np.max(np.abs(apply_entangler(spec, state).amps - r @ state.amps)) <= bound
+    uniform = uniform_input(m, N)
+    assert np.array_equal(apply_entangler(spec, uniform).amps, r @ uniform.amps)
+
+
+def test_gate_analysis_builds_no_dense_gate(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense gate built")
+
+    monkeypatch.setattr(entangler_module, "build_r", refuse)
+    spec = random_unimodular_spec(3, 2)
+    phase_swap_decomposition(spec)
+    apply_entangler(spec, uniform_input(3, 2))
+    for kind in ClassKind:
+        for target in EvaluationTarget:
+            proposition_check(spec, kind, target)
 
 
 def test_apply_all_ones_keeps_uniform_input():
