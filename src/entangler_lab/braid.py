@@ -14,7 +14,9 @@ Padding with identities does not change an entry-wise max, so the relations
 are measured on the smallest window that holds them: every adjacent residual
 is the 3-strand Yang-Baxter residual, and every commuting residual is the
 4-strand residual of R (x) I_{d^2} against I_{d^2} (x) R.  No n-strand matrix
-is built; `StrandRep.generator` remains as the dense reference.
+is built; `StrandRep.generator` remains as the dense reference.  The
+3-strand windows are d^3 x d^3, so they are held to the same MAX_TOTAL_DIM
+as d^n and refused before the first allocation.
 """
 
 from __future__ import annotations
@@ -43,6 +45,14 @@ def _strand_dim(mat: np.ndarray) -> int:
             f"matrix dimension {mat.shape[0]} is not d^2 for an integer d >= 2"
         )
     return d
+
+
+def require_ybe_window(d: int) -> None:
+    """Refuse a strand dimension whose d^3 x d^3 Yang-Baxter window exceeds the cap."""
+    if d**3 > MAX_TOTAL_DIM:
+        raise ValueError(
+            f"Yang-Baxter window dimension {d}^3 exceeds the dense-verification cap {MAX_TOTAL_DIM}"
+        )
 
 
 @dataclass(frozen=True)
@@ -108,6 +118,7 @@ def check_ybe(R: OperatorMatrix | np.ndarray, tol: float = DEFAULT_TOL) -> YbeRe
     """Entry-wise max residual of the Yang-Baxter equation for a d^2 x d^2 operator."""
     mat = _as_matrix(R)
     d = _strand_dim(mat)
+    require_ybe_window(d)
     eye = np.eye(d, dtype=complex)
     a = np.kron(mat, eye)
     b = np.kron(eye, mat)
@@ -115,15 +126,19 @@ def check_ybe(R: OperatorMatrix | np.ndarray, tol: float = DEFAULT_TOL) -> YbeRe
     return YbeResult(residual=residual, passed=residual <= tol, d=d)
 
 
-def check_braid_relations(rep: StrandRep, tol: float = DEFAULT_TOL) -> BraidRelationReport:
+def check_braid_relations(
+    rep: StrandRep, tol: float = DEFAULT_TOL, ybe: YbeResult | None = None
+) -> BraidRelationReport:
     """Verify commutation on disjoint slots and the braid relation on adjacent ones.
 
     Commutation needs n >= 4 to be nontrivial; the adjacent relation needs
     n >= 3.  With fewer strands the corresponding list is simply empty.  Each
-    residual is measured once on its window and reported for every i or pair.
+    residual is measured once on its window and reported for every i or pair;
+    a caller that already holds `check_ybe(rep.R)` passes it as `ybe` so the
+    adjacent residual is not computed again.
     """
     n = rep.n
-    adjacent_residual = check_ybe(rep.R).residual if n >= 3 else 0.0
+    adjacent_residual = (ybe or check_ybe(rep.R)).residual if n >= 3 else 0.0
     adjacent = tuple((i, adjacent_residual) for i in range(1, n - 1))
     commuting_residual = 0.0
     if n >= 4:
@@ -158,6 +173,7 @@ def check_quasitriangular(R: OperatorMatrix | np.ndarray, tol: float = DEFAULT_T
     """
     mat = _as_matrix(R)
     d = _strand_dim(mat)
+    require_ybe_window(d)
     eye = np.eye(d, dtype=complex)
     pi = factor_swap(d)
     r12 = np.kron(mat, eye)

@@ -25,7 +25,13 @@ import sys
 
 import numpy as np
 
-from .braid import StrandRep, check_braid_relations, check_quasitriangular, check_ybe
+from .braid import (
+    StrandRep,
+    check_braid_relations,
+    check_quasitriangular,
+    check_ybe,
+    require_ybe_window,
+)
 from .concurrence import ConditionReport, classify
 from .entangler import (
     EntanglerSpec,
@@ -294,8 +300,10 @@ def _cmd_entangler(args, out) -> int:
         "ordering_with_ascending_diagonal": decomposition.ordering,
         "ascending_diagonal": [_pair(z) for z in decomposition.pr_diagonal],
     }
-    if args.check_ybe and spec.m != 2:
-        raise SchemaError("--check-ybe: requires m = 2 (the gate must act on two strands)")
+    if args.check_ybe:
+        if spec.m != 2:
+            raise SchemaError("--check-ybe: requires m = 2 (the gate must act on two strands)")
+        require_ybe_window(spec.N)
     r = build_r(spec) if args.check_unitary or args.check_ybe else None
     if args.check_unitary:
         unit = check_unitary(r, tol)
@@ -349,7 +357,7 @@ def _cmd_braid(args, out) -> int:
         ybe = check_ybe(mat, tol)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
-    relations = check_braid_relations(rep, tol)
+    relations = check_braid_relations(rep, tol, ybe)
     quasi = check_quasitriangular(mat, tol)
     doc = {
         "schema_version": SCHEMA_VERSION,

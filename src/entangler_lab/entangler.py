@@ -10,7 +10,8 @@ alpha[s(q)] for the corner-fixing interior reversal s (an involution), so
 R = phase gate x swap gate with P = I[s].  P @ R is diagonal with the alphas
 in ascending multi-index order, R @ P is diagonal with the interior order
 reversed.  The functions here read that structure off (s, alpha) instead of
-multiplying d x d matrices: applying the gate is an O(d) gather.
+multiplying d x d matrices: applying the gate is an O(d) gather, and the
+unitarity check reads R R^dagger = diag(|alpha|^2) off the nonzeros of R.
 
 Applied to the uniform product input (|1>+...+|N>)^(x m), the gate writes
 alpha values directly into the output amplitudes, which is what makes the
@@ -74,13 +75,25 @@ class EvaluationTarget(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class PhaseSwapDecomposition:
-    """R = phase gate x swap gate, with the ordering that yields ascending phases."""
+    """R = phase gate x swap gate, with the ordering that yields ascending phases.
 
-    phase: np.ndarray        # diagonal matrix whose diagonal is alpha ascending
-    swap: np.ndarray         # corner-fixing interior-reversal permutation P
+    Only the two diagonals are stored; `phase` and `swap` build their dense
+    d x d matrices on each access.
+    """
+
     ordering: str            # which product ("P@R" or "R@P") gave the ascending diagonal
     pr_diagonal: np.ndarray
     rp_diagonal: np.ndarray
+
+    @property
+    def phase(self) -> np.ndarray:
+        """Diagonal matrix whose diagonal is alpha ascending."""
+        return np.diag(self.pr_diagonal)
+
+    @property
+    def swap(self) -> np.ndarray:
+        """Corner-fixing interior-reversal permutation P."""
+        return swap_gate(len(self.pr_diagonal))
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,12 +121,39 @@ def build_r(spec: EntanglerSpec) -> OperatorMatrix:
     return OperatorMatrix((spec.N,) * spec.m, mat)
 
 
+def _monomial_values(mat: np.ndarray) -> np.ndarray | None:
+    """The nonzero of each row if every row and column holds exactly one and all are finite."""
+    d = mat.shape[0]
+    nonzero = mat != 0
+    if np.count_nonzero(nonzero) != d:
+        return None
+    rows = np.arange(d)
+    cols = nonzero.argmax(axis=1)  # first nonzero column of each row
+    # d nonzeros, at least one in every row, each column hit once
+    if not (nonzero[rows, cols].all() and np.all(np.bincount(cols, minlength=d) == 1)):
+        return None
+    values = mat[rows, cols]
+    return values if np.all(np.isfinite(values)) else None
+
+
 def check_unitary(op: OperatorMatrix | np.ndarray, tol: float = DEFAULT_TOL) -> UnitarityCheck:
-    """Max-norm deviation of R R^dagger from the identity, judged against tol."""
+    """Max-norm deviation of R R^dagger from the identity, judged against tol.
+
+    The deviation is read off the nonzeros when R is monomial (one nonzero
+    per row and per column, as for every gate `build_r` makes): R R^dagger is
+    then diag(|v|^2) for the row values v, so the deviation is
+    max | |v|^2 - 1 |, with no d x d temporary.  It can differ from the dense
+    product at the rounding level.  Any other square matrix, and a monomial
+    one with a non-finite entry, gets the dense max |R R^dagger - I|.
+    """
     mat = op.mat if isinstance(op, OperatorMatrix) else np.asarray(op, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    deviation = float(np.max(np.abs(mat @ mat.conj().T - np.eye(mat.shape[0]))))
+    v = _monomial_values(mat)
+    if v is not None:
+        deviation = float(np.max(np.abs(v.real**2 + v.imag**2 - 1)))
+    else:
+        deviation = float(np.max(np.abs(mat @ mat.conj().T - np.eye(mat.shape[0]))))
     return UnitarityCheck(passed=deviation <= tol, max_deviation=deviation)
 
 
@@ -134,8 +174,6 @@ def phase_swap_decomposition(spec: EntanglerSpec) -> PhaseSwapDecomposition:
     R @ P carries the interior in reversed order.
     """
     return PhaseSwapDecomposition(
-        phase=np.diag(spec.alpha),
-        swap=swap_gate(spec.dim),
         ordering="P@R",
         pr_diagonal=spec.alpha,
         rp_diagonal=spec.alpha[_reversal(spec.dim)],

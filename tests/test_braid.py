@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+import entangler_lab.braid as braid_module
 from entangler_lab.braid import (
     StrandRep,
     check_braid_relations,
     check_quasitriangular,
     check_ybe,
     factor_swap,
+    require_ybe_window,
 )
 from entangler_lab.entangler import EntanglerSpec, build_r
 
@@ -143,6 +145,36 @@ def test_braid_relations_build_no_generator_at_the_cap(monkeypatch):
     report = check_braid_relations(StrandRep(12, mat))  # 2^12 = 4096 is the cap
     assert len(report.adjacent) == 10 and len(report.commuting) == 45
     assert report.max_adjacent_residual == check_ybe(mat).residual
+
+
+def test_braid_relations_reuse_a_given_ybe_result(monkeypatch):
+    mat = random_operator(2)
+    ybe = check_ybe(mat)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Yang-Baxter residual computed again")
+
+    monkeypatch.setattr(braid_module, "check_ybe", refuse)
+    report = check_braid_relations(StrandRep(5, mat), ybe=ybe)
+    assert report.max_adjacent_residual == ybe.residual
+    assert all(residual == ybe.residual for _, residual in report.adjacent)
+
+
+def test_ybe_window_cap():
+    require_ybe_window(16)  # 16^3 = 4096 is the cap
+    with pytest.raises(ValueError, match="4096"):
+        require_ybe_window(17)
+
+
+@pytest.mark.parametrize("d", [17, 32])
+@pytest.mark.parametrize("check", [check_ybe, check_quasitriangular])
+def test_oversized_ybe_window_rejected_before_kron(monkeypatch, d, check):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Yang-Baxter window allocated")
+
+    monkeypatch.setattr(braid_module.np, "kron", refuse)
+    with pytest.raises(ValueError, match=f"{d}\\^3 exceeds the dense-verification cap 4096"):
+        check(np.eye(d * d))
 
 
 def test_strand_validation():

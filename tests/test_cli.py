@@ -6,6 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import entangler_lab.braid as braid_module
+import entangler_lab.cli as cli_module
+from entangler_lab.braid import check_ybe, factor_swap
 from entangler_lab.cli import EXIT_IO, EXIT_OK, EXIT_SCHEMA, format_float, main, render_json
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -192,6 +195,18 @@ def test_entangler_check_ybe_rejected_for_three_parties(capsys):
     assert "m = 2" in err
 
 
+def test_entangler_check_ybe_window_cap(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense gate built")
+
+    monkeypatch.setattr(cli_module, "build_r", refuse)
+    gate = {"m": 2, "N": 32, "alpha": [[1, 0]] * 1024}  # strand dimension 32
+    path = write_json(tmp_path, "gate32.json", gate)
+    code, out, err = run(capsys, "entangler", path, "--check-unitary", "--check-ybe", "--json")
+    assert code == EXIT_SCHEMA and out == ""
+    assert err.startswith("error: ") and "32^3 exceeds the dense-verification cap 4096" in err
+
+
 def test_entangler_non_unimodular_reported(tmp_path, capsys):
     gate = {"m": 2, "N": 2, "alpha": [[2, 0], [1, 0], [1, 0], [1, 0]]}
     path = write_json(tmp_path, "gate_nonunitary.json", gate)
@@ -275,6 +290,35 @@ def test_braid_twelve_strands_at_the_cap(tmp_path, capsys):
     assert [a["i"] for a in relations["adjacent"]] == list(range(1, 11))
     assert all(a["residual"] == parsed["ybe"]["residual"] for a in relations["adjacent"])
     assert len(relations["commuting"]) == 45
+
+
+def test_braid_computes_the_ybe_residual_once(tmp_path, monkeypatch, capsys):
+    rng = np.random.default_rng(5)
+    mat = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    doc = [[[float(z.real), float(z.imag)] for z in row] for row in mat]
+    path = write_json(tmp_path, "rand5.json", doc)
+    calls = []
+
+    def counting(R, *args, **kwargs):
+        calls.append(np.array(R))
+        return check_ybe(R, *args, **kwargs)
+
+    monkeypatch.setattr(cli_module, "check_ybe", counting)
+    monkeypatch.setattr(braid_module, "check_ybe", counting)
+    code, out, _ = run(capsys, "braid", "--r-file", path, "--strands", "5", "--json")
+    assert code == EXIT_OK
+    assert len(calls) == 2
+    assert np.array_equal(calls[0], mat)  # R itself
+    assert np.array_equal(calls[1], factor_swap(2) @ mat)  # the quasitriangular check's swap @ R
+    parsed = json.loads(out)
+    assert all(a["residual"] == parsed["ybe"]["residual"] for a in parsed["braid_relations"]["adjacent"])
+
+
+def test_braid_ybe_window_cap(tmp_path, capsys):
+    path = write_json(tmp_path, "id17.json", identity_matrix_doc(17 * 17))  # 17^3 > 4096
+    code, out, err = run(capsys, "braid", "--r-file", path, "--strands", "2")
+    assert code == EXIT_SCHEMA and out == ""
+    assert err.startswith("error: ") and "17^3 exceeds the dense-verification cap 4096" in err
 
 
 def test_braid_non_square_dimension(tmp_path, capsys):

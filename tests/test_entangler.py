@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from entangler_lab.concurrence import Verdict, ghz_expansion_3q
 from entangler_lab.entangler import (
     EntanglerSpec,
     EvaluationTarget,
+    PhaseSwapDecomposition,
     apply_entangler,
     build_r,
     check_unitary,
@@ -167,6 +171,113 @@ def test_apply_equals_dense_matvec(shape, seed, alpha_scale, amp_scale):
     assert np.max(np.abs(apply_entangler(spec, state).amps - r @ state.amps)) <= bound
     uniform = uniform_input(m, N)
     assert np.array_equal(apply_entangler(spec, uniform).amps, r @ uniform.amps)
+
+
+def test_decomposition_stores_only_the_diagonals():
+    assert [f.name for f in fields(PhaseSwapDecomposition)] == ["ordering", "pr_diagonal", "rp_diagonal"]
+    spec = random_unimodular_spec(2, 32)
+    tracemalloc.start()
+    try:
+        dec = phase_swap_decomposition(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < spec.dim**2  # far below one d x d matrix
+    assert np.array_equal(dec.rp_diagonal, spec.alpha[entangler_module._reversal(spec.dim)])
+
+
+# ---------------------------------------------------------------------------
+# unitarity read off a monomial matrix against the dense product
+
+
+def dense_deviation(mat):
+    return float(np.max(np.abs(mat @ mat.conj().T - np.eye(mat.shape[0]))))
+
+
+def monomial(perm, values):
+    mat = np.zeros((len(perm), len(perm)), dtype=complex)
+    mat[np.arange(len(perm)), perm] = values
+    return mat
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 64), seeds, log_scales, st.booleans(), st.booleans())
+def test_monomial_unitarity_equals_dense_product(d, seed, log_scale, unimodular, reversal):
+    g = np.random.default_rng(seed)
+    perm = entangler_module._reversal(d) if reversal else g.permutation(d)
+    if unimodular:
+        values = np.exp(1j * g.uniform(0, 2 * np.pi, d))
+    else:
+        values = drawn_vector(g, d, log_scale)
+    mat = monomial(perm, values)
+    tol = 1e-9
+    result = check_unitary(mat, tol)
+    dense = dense_deviation(mat)
+    bound = 8 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(values))) ** 2)
+    assert abs(result.max_deviation - dense) <= bound
+    if abs(dense - tol) > bound:
+        assert result.passed == (dense <= tol)
+
+
+def test_gate_unitarity_is_the_modulus_formula():
+    for m, N in [(2, 2), (3, 2), (2, 3), (4, 3)]:
+        spec = EntanglerSpec(m, N, drawn_vector(rng, N**m, 0.0))
+        expected = np.max(np.abs(spec.alpha.real**2 + spec.alpha.imag**2 - 1))
+        assert check_unitary(build_r(spec)).max_deviation == expected
+
+
+def non_monomial(case):
+    g = np.random.default_rng(31)
+    d = 6
+    perm = g.permutation(d)
+    mat = monomial(perm, np.exp(1j * g.uniform(0, 2 * np.pi, d)))
+    if case == "extra nonzero":
+        mat[2, perm[3]] = 0.25
+    elif case == "zero row":
+        mat[2] = 0
+    elif case == "zero row and a row with two":  # d nonzeros, first columns a permutation
+        holds = np.argsort(perm)  # holds[c] is the row with its nonzero in column c
+        mat[holds[0]] = 0
+        mat[holds[1], 2] = 3.0
+    elif case == "two in one column":
+        mat[2, perm[2]], mat[2, perm[4]] = 0, mat[2, perm[2]]  # every row still holds one
+    elif case == "non-finite entry":
+        mat[2, perm[2]] = np.inf
+    elif case == "haar unitary":
+        q, r = np.linalg.qr(g.normal(size=(d, d)) + 1j * g.normal(size=(d, d)))
+        mat = q * (np.diag(r) / np.abs(np.diag(r)))
+    return mat
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf * 0
+@pytest.mark.parametrize(
+    "case",
+    [
+        "extra nonzero",
+        "zero row",
+        "zero row and a row with two",
+        "two in one column",
+        "non-finite entry",
+        "haar unitary",
+    ],
+)
+def test_non_monomial_unitarity_is_the_dense_product(case):
+    mat = non_monomial(case)
+    result = check_unitary(mat)
+    np.testing.assert_array_equal(result.max_deviation, dense_deviation(mat))  # NaN == NaN here
+    assert result.passed == (case == "haar unitary")
+
+
+def test_gate_unitarity_allocates_no_dense_product():
+    r = build_r(random_unimodular_spec(2, 32))  # d = 1024
+    tracemalloc.start()
+    try:
+        result = check_unitary(r)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.passed
+    assert peak < 16 * r.dim**2  # less than one d x d complex matrix (16 MiB)
 
 
 def test_gate_analysis_builds_no_dense_gate(monkeypatch):
