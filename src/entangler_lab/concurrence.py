@@ -2,11 +2,15 @@
 
 The canonical value of a condition is the bilinear form sum_jk a_j a_k M[j,k]
 in the UNCONJUGATED amplitudes.  For three subsystems the same quantities are
-also available as explicit combinatorial expansions over index pairs; the two
-routes agree up to fixed proportionality constants (+2 for the EPR/W family,
--2 for the GHZ family) because the operator sums both orders of each index
-pair and the phase convention of the pi-blocks contributes a sign.  Keeping
-both routes makes each an independent check on the other.
+also available as the paper's explicit combinatorial expansions over index
+pairs; the two routes agree up to fixed proportionality constants (+2 for the
+EPR/W family, -2 for the GHZ family) because the operator sums both orders of
+each index pair and the phase convention of the pi-blocks contributes a sign.
+Keeping both routes makes each an independent check on the other.  The
+expansions keep the paper's term list but evaluate it as signed products over
+the k < l pair tables of each slot: one numpy gather per call fetches both
+factors of every term, with no per-term Python and no memo beyond the
+per-dimension pair tables.
 
 `classify` never forms an operator.  Every class operator is a Kronecker
 product of N x N blocks, so it applies each block along one axis of the
@@ -31,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .class_operators import CONCURRENCE_PHASE, FLIP_PHASE, ClassKind, tilde_operator
-from .state_core import DEFAULT_TOL, OperatorMatrix, PureState, flatten
+from .state_core import DEFAULT_TOL, OperatorMatrix, PureState
 
 EPR_OPERATOR_FACTOR = 2.0
 GHZ_OPERATOR_FACTOR = -2.0
@@ -82,48 +86,59 @@ def bilinear_condition(state: PureState, op: OperatorMatrix) -> complex:
     return complex(a @ (op.mat @ a))
 
 
-def _amp(state: PureState, digits: tuple[int, ...]) -> complex:
-    return state.amps[flatten(digits, state.dims)]
+_PAIRS = ((1, 2), (1, 3), (2, 3))
 
 
-def _require_three_parties(state: PureState, where: str) -> None:
+def _three_party_pair(state: PureState, pair, where: str) -> tuple[int, int]:
+    """Check that `state` has three subsystems and return `pair` as one of `_PAIRS`."""
     if state.m != 3:
         raise ValueError(f"{where} is defined for three subsystems, got m={state.m}")
+    try:
+        normalized = tuple(map(int, pair))
+    except (TypeError, ValueError):
+        normalized = None
+    if normalized not in _PAIRS:
+        raise ValueError(f"pair must be one of (1,2), (1,3), (2,3), got {pair!r}")
+    return normalized
+
+
+@lru_cache(maxsize=16)
+def _pair_choices(n: int) -> np.ndarray:
+    """Read-only (factor, choice, pair) table over the 0-based k < l pairs of an n-level slot.
+
+    In a product of the expansions the lead factor (0) takes l or k in a
+    paired slot and its partner (1) takes the other index: choice 0 is
+    (l, k), crossing the pair, and choice 1 is (k, l), keeping it.  Choice 1
+    also gives the leading slot's (k1, l1).
+    """
+    kl = np.stack(np.triu_indices(n, 1))
+    choices = np.stack([kl[::-1], kl])
+    choices.setflags(write=False)
+    return choices
 
 
 def epr_expansion_3q(state: PureState, pair: tuple[int, int]) -> complex:
     """Explicit EPR/W-condition sum for a three-party state.
 
-    Sums l > k over the two paired subsystems and a matched index over the
-    spectator slot.  Relates to the operator route by
+    The paper's term list: over l > k in both paired subsystems and a
+    matched index t in the spectator slot, a[k1,l2,t] a[l1,k2,t] -
+    a[k1,k2,t] a[l1,l2,t].  It is evaluated as signed products over the
+    k < l pair tables, one gather for both factors of every term, with no
+    per-term Python.  Relates to the operator route by
     bilinear_condition(s, EPR op) == +2 * epr_expansion_3q(s, pair).
     """
-    _require_three_parties(state, "epr_expansion_3q")
-    r1, r2 = pair
-    if (r1, r2) not in ((1, 2), (1, 3), (2, 3)):
-        raise ValueError(f"pair must be one of (1,2), (1,3), (2,3), got {pair}")
-    (spectator,) = {1, 2, 3} - {r1, r2}
-    n1, n2, ns = state.dims[r1 - 1], state.dims[r2 - 1], state.dims[spectator - 1]
-
-    def digits(a, b, c):
-        d = [0, 0, 0]
-        d[r1 - 1], d[r2 - 1], d[spectator - 1] = a, b, c
-        return tuple(d)
-
-    total = 0.0 + 0.0j
-    for k1 in range(1, n1 + 1):
-        for l1 in range(k1 + 1, n1 + 1):
-            for k2 in range(1, n2 + 1):
-                for l2 in range(k2 + 1, n2 + 1):
-                    for t in range(1, ns + 1):
-                        total += (
-                            _amp(state, digits(k1, l2, t)) * _amp(state, digits(l1, k2, t))
-                            - _amp(state, digits(k1, k2, t)) * _amp(state, digits(l1, l2, t))
-                        )
-    return total
+    r1, r2 = _three_party_pair(state, pair, "epr_expansion_3q")
+    spectator = 6 - r1 - r2
+    a = state.amps.reshape(state.dims).transpose(r1 - 1, r2 - 1, spectator - 1)
+    c1, c2 = _pair_choices(a.shape[0]), _pair_choices(a.shape[1])
+    # axes (factor, pair 1, choice, pair 2, t)
+    lead, partner = a[c1[:, 1, :, None, None], c2[:, None]]
+    crossed, kept = (lead * partner).sum(axis=(0, 2, 3))
+    return crossed - kept
 
 
-# Signs of the four products (kll,lkk), (klk,lkl), (kkl,llk), (kkk,lll) per pair.
+# Signs of the four products (kll,lkk), (klk,lkl), (kkl,llk), (kkk,lll) per pair,
+# that is of the choices (0,0), (0,1), (1,0), (1,1) in slots 2 and 3.
 _GHZ_TERM_SIGNS = {
     (1, 2): (+1, +1, -1, -1),
     (1, 3): (+1, -1, +1, -1),
@@ -134,31 +149,25 @@ _GHZ_TERM_SIGNS = {
 def ghz_expansion_3q(state: PureState, pair: tuple[int, int]) -> complex:
     """Explicit GHZ-condition sum for a three-party state.
 
-    Every product pairs an index tuple with its full complement, so the sum
-    is invariant under complement reindexing of the amplitudes.  Relates to
-    the operator route by
-    bilinear_condition(s, GHZ op) == -2 * ghz_expansion_3q(s, pair).
+    The paper's term list: over l > k in all three slots, the four products
+    that pair an index tuple holding k1 with its full complement, signed per
+    pair by `_GHZ_TERM_SIGNS`.  It is evaluated as signed products over the
+    k < l pair tables: one gather gives both factors of all four products of
+    every pair triple, their sums form a 2 x 2 table, and the table is
+    contracted with the signs, with no per-term Python.  Every product
+    pairs an index tuple with its complement, so the sum is invariant under
+    complement reindexing of the amplitudes.  Relates to the operator route
+    by bilinear_condition(s, GHZ op) == -2 * ghz_expansion_3q(s, pair).
     """
-    _require_three_parties(state, "ghz_expansion_3q")
-    if pair not in _GHZ_TERM_SIGNS:
-        raise ValueError(f"pair must be one of (1,2), (1,3), (2,3), got {pair}")
-    s1, s2, s3, s4 = _GHZ_TERM_SIGNS[pair]
-    n1, n2, n3 = state.dims
-
-    total = 0.0 + 0.0j
-    for k1 in range(1, n1 + 1):
-        for l1 in range(k1 + 1, n1 + 1):
-            for k2 in range(1, n2 + 1):
-                for l2 in range(k2 + 1, n2 + 1):
-                    for k3 in range(1, n3 + 1):
-                        for l3 in range(k3 + 1, n3 + 1):
-                            total += (
-                                s1 * _amp(state, (k1, l2, l3)) * _amp(state, (l1, k2, k3))
-                                + s2 * _amp(state, (k1, l2, k3)) * _amp(state, (l1, k2, l3))
-                                + s3 * _amp(state, (k1, k2, l3)) * _amp(state, (l1, l2, k3))
-                                + s4 * _amp(state, (k1, k2, k3)) * _amp(state, (l1, l2, l3))
-                            )
-    return total
+    pair = _three_party_pair(state, pair, "ghz_expansion_3q")
+    c1, c2, c3 = map(_pair_choices, state.dims)
+    a = state.amps.reshape(state.dims)
+    # axes (factor, pair 1, choice 2, pair 2, choice 3, pair 3)
+    lead, partner = a[
+        c1[:, 1, :, None, None, None, None], c2[:, None, :, :, None, None], c3[:, None, None, None]
+    ]
+    table = (lead * partner).sum(axis=(0, 2, 4))
+    return np.dot(table.ravel(), _GHZ_TERM_SIGNS[pair])
 
 
 @lru_cache(maxsize=16)

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from entangler_lab import class_operators, state_core
+from entangler_lab import class_operators, concurrence, state_core
 from entangler_lab.class_operators import ClassKind, ClassOperatorSpec, class_operator, pair_specs
 from entangler_lab.concurrence import (
     EPR_OPERATOR_FACTOR,
@@ -21,6 +21,7 @@ from entangler_lab.state_core import (
     PureState,
     basis_state,
     conjugate_state,
+    flatten,
     ghz_state,
     product_state,
     w_state,
@@ -69,6 +70,31 @@ def test_expansions_vanish_on_product_states(pair):
         scale = s.norm2
         assert abs(epr_expansion_3q(s, pair)) < 1e-13 * scale
         assert abs(ghz_expansion_3q(s, pair)) < 1e-13 * scale
+
+
+@pytest.mark.parametrize("expansion", [epr_expansion_3q, ghz_expansion_3q])
+def test_expansions_normalize_pair(expansion):
+    s = random_state((2, 3, 2))
+    for pair in PAIRS:
+        expected = expansion(s, pair)
+        assert expansion(s, list(pair)) == expected
+        assert expansion(s, tuple(np.int64(r) for r in pair)) == expected
+        assert expansion(s, np.array(pair)) == expected
+
+
+@pytest.mark.parametrize("expansion", [epr_expansion_3q, ghz_expansion_3q])
+@pytest.mark.parametrize("pair", [(2, 1), (1, 2, 3), (1,), (0, 1), (1, 4), [3, 3], 12, None, ("a", "b")])
+def test_expansions_reject_other_pairs(expansion, pair):
+    with pytest.raises(ValueError, match=r"pair must be one of \(1,2\), \(1,3\), \(2,3\)"):
+        expansion(random_state((2, 2, 2)), pair)
+
+
+def test_expansion_memo_is_bounded_and_read_only():
+    assert concurrence._pair_choices.cache_info().maxsize == 16
+    choices = concurrence._pair_choices(4)
+    k, l = [0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3]
+    assert choices.tolist() == [[l, k], [k, l]]
+    assert not choices.flags.writeable
 
 
 def test_expansions_require_three_parties():
@@ -276,7 +302,7 @@ def test_kernel_vanishes_on_product_states(dims, seed, log_scale):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.integers(2, 4), min_size=3, max_size=3).map(tuple), seeds, log_scales)
+@given(st.lists(st.integers(2, 6), min_size=3, max_size=3).map(tuple), seeds, log_scales)
 def test_kernel_equals_scaled_expansions(dims, seed, log_scale):
     state = drawn_state(dims, seed, log_scale)
     for v in classify(state).values:
@@ -326,3 +352,72 @@ def test_classify_twelve_qubits(state, verdict, fired_kind, magnitude):
     for v in report.values:
         expected = magnitude if v.kind is fired_kind else 0.0
         assert v.normalized_magnitude == pytest.approx(expected, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the gathered expansions against the nested-loop evaluation of the paper's
+# term lists, one amplitude lookup per factor, kept here as their reference
+
+
+def _amp(state, digits):
+    return state.amps[flatten(digits, state.dims)]
+
+
+def _epr_loop(state, pair):
+    r1, r2 = pair
+    (spectator,) = {1, 2, 3} - {r1, r2}
+    n1, n2, ns = state.dims[r1 - 1], state.dims[r2 - 1], state.dims[spectator - 1]
+
+    def digits(a, b, c):
+        d = [0, 0, 0]
+        d[r1 - 1], d[r2 - 1], d[spectator - 1] = a, b, c
+        return tuple(d)
+
+    total = 0.0 + 0.0j
+    for k1 in range(1, n1 + 1):
+        for l1 in range(k1 + 1, n1 + 1):
+            for k2 in range(1, n2 + 1):
+                for l2 in range(k2 + 1, n2 + 1):
+                    for t in range(1, ns + 1):
+                        total += (
+                            _amp(state, digits(k1, l2, t)) * _amp(state, digits(l1, k2, t))
+                            - _amp(state, digits(k1, k2, t)) * _amp(state, digits(l1, l2, t))
+                        )
+    return total
+
+
+def _ghz_loop(state, pair):
+    s1, s2, s3, s4 = concurrence._GHZ_TERM_SIGNS[pair]
+    n1, n2, n3 = state.dims
+
+    total = 0.0 + 0.0j
+    for k1 in range(1, n1 + 1):
+        for l1 in range(k1 + 1, n1 + 1):
+            for k2 in range(1, n2 + 1):
+                for l2 in range(k2 + 1, n2 + 1):
+                    for k3 in range(1, n3 + 1):
+                        for l3 in range(k3 + 1, n3 + 1):
+                            total += (
+                                s1 * _amp(state, (k1, l2, l3)) * _amp(state, (l1, k2, k3))
+                                + s2 * _amp(state, (k1, l2, k3)) * _amp(state, (l1, k2, l3))
+                                + s3 * _amp(state, (k1, k2, l3)) * _amp(state, (l1, l2, k3))
+                                + s4 * _amp(state, (k1, k2, k3)) * _amp(state, (l1, l2, l3))
+                            )
+    return total
+
+
+# The gathers sum the same products in another order; fixed before measuring
+# from float64 rounding over at most C(5,2)^3 = 1000 products of |a|^2 size.
+GATHER_RTOL = 1e-13
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(2, 5), min_size=3, max_size=3).map(tuple), seeds, log_scales)
+@example((2, 5, 3), 0, 0.0)
+@example((5, 2, 4), 1, -3.0)
+@example((4, 3, 2), 2, 3.0)
+def test_gathered_expansions_equal_loop_reference(dims, seed, log_scale):
+    state = drawn_state(dims, seed, log_scale)
+    for pair in PAIRS:
+        assert abs(epr_expansion_3q(state, pair) - _epr_loop(state, pair)) <= GATHER_RTOL * state.norm2
+        assert abs(ghz_expansion_3q(state, pair) - _ghz_loop(state, pair)) <= GATHER_RTOL * state.norm2
