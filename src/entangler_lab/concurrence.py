@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .class_operators import CONCURRENCE_PHASE, FLIP_PHASE, ClassKind, tilde_operator
-from .state_core import DEFAULT_TOL, OperatorMatrix, PureState
+from .state_core import DEFAULT_TOL, OperatorMatrix, PureState, require_tol
 
 EPR_OPERATOR_FACTOR = 2.0
 GHZ_OPERATOR_FACTOR = -2.0
@@ -216,10 +216,10 @@ def classify(state: PureState, tol: float = DEFAULT_TOL, label: str | None = Non
     A condition fires when |value| / norm^2 > tol.  A fired condition
     certifies that the state is not fully product; the converse does not
     hold, so the verdict reports which families fire rather than forcing a
-    single class.
+    single class.  Raises ValueError for the zero vector and for a `tol`
+    that is not a positive finite number.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    require_tol(tol)
     norm2 = state.norm2
     if norm2 == 0.0:
         raise ValueError("cannot classify the zero vector")

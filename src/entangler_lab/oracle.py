@@ -1,10 +1,28 @@
 """Brute-force entanglement verification, independent of the condition route.
 
-Everything here is standard reduced-state machinery: partial traces and
-purities for product detection, the Wootters two-qubit concurrence, and the
-degree-4 hyperdeterminant three-tangle for three qubits.  None of it shares
-mathematics with the pair-condition functionals, so agreement between the two
-routes is evidence rather than tautology.
+Everything here is standard reduced-state machinery: single-party purities
+for product detection, the Wootters two-qubit concurrence of every pair
+marginal, and the degree-4 hyperdeterminant three-tangle for three qubits.
+None of it shares mathematics with the pair-condition functionals, so
+agreement between the two routes is evidence rather than tautology.  In
+particular the pair concurrences come from the mixed two-qubit marginals,
+never from the pure-state shortcut |l1 - l2| of M^T (sy x sy) M: for qubits
+sy is T(pi/2) up to a phase, so that shortcut is the EPR condition under
+another name.
+
+`oracle_classify` reduces one state in a single stacked pass.  Every
+one-party marginal rho_k = M_k M_k^H / |a|^2 of the unfolding M_k goes into
+one (m, N, N) stack per distinct slot dimension, and all purities come from
+one stacked trace(rho @ rho).  For qubits the C(m,2) two-qubit marginals go
+into one (P, 4, 4) stack, and all Wootters concurrences come from one stacked
+eigh, square root and singular value decomposition.  Each stack passes the
+same Hermiticity, unit-trace and PSD checks as `DensityMatrix`, with the
+same messages; the PSD check reads the eigenvalues the Wootters step uses.
+Unfoldings are formed one at a time, so the extra memory is O(d).
+
+`partial_trace`, `DensityMatrix`, `wootters_concurrence` and `three_tangle`
+stay the validating public API for user-given states and matrices, and the
+tests' per-marginal reference for the stacked pass.
 """
 
 from __future__ import annotations
@@ -18,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .concurrence import Verdict
-from .state_core import DEFAULT_TOL, PureState
+from .state_core import DEFAULT_TOL, PureState, require_tol
 
 _HERMITICITY_TOL = 1e-12
 _TRACE_TOL = 1e-12
@@ -36,6 +54,25 @@ class StateClass(enum.Enum):
     ENTANGLED = "ENTANGLED"  # fallback for shapes without a full class oracle
 
 
+def _density_spectrum(rho: np.ndarray, vectors: bool = False):
+    """Check that every matrix of `rho` (shape (..., n, n)) is a density matrix.
+
+    Hermitian, unit trace and eigenvalues >= _PSD_FLOOR, each checked over
+    the whole stack and raising `DensityMatrix`'s message.  Returns the
+    spectrum the PSD check read: `eigh(rho)` when `vectors`, else the
+    eigenvalues alone.
+    """
+    if np.abs(rho - rho.conj().swapaxes(-1, -2)).max() > _HERMITICITY_TOL:
+        raise ValueError("density matrix must be Hermitian")
+    trace = rho.trace(axis1=-2, axis2=-1)
+    if np.abs(trace.real - 1.0).max() > _TRACE_TOL or np.abs(trace.imag).max() > _TRACE_TOL:
+        raise ValueError("density matrix must have unit trace")
+    spectrum = np.linalg.eigh(rho) if vectors else np.linalg.eigvalsh(rho)
+    if (spectrum[0] if vectors else spectrum).min() < _PSD_FLOOR:
+        raise ValueError("density matrix must be positive semidefinite")
+    return spectrum
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Unit-trace Hermitian PSD matrix over the retained subsystems."""
@@ -49,12 +86,7 @@ class DensityMatrix:
         d = math.prod(self.dims)
         if mat.shape != (d, d):
             raise ValueError(f"expected a {d}x{d} matrix for dims {list(self.dims)}, got {mat.shape}")
-        if np.max(np.abs(mat - mat.conj().T)) > _HERMITICITY_TOL:
-            raise ValueError("density matrix must be Hermitian")
-        if abs(np.trace(mat).real - 1.0) > _TRACE_TOL or abs(np.trace(mat).imag) > _TRACE_TOL:
-            raise ValueError("density matrix must have unit trace")
-        if np.linalg.eigvalsh(mat).min() < _PSD_FLOOR:
-            raise ValueError("density matrix must be positive semidefinite")
+        _density_spectrum(mat)
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
 
@@ -103,10 +135,32 @@ def partial_trace(state: PureState, keep: Sequence[int]) -> DensityMatrix:
     return DensityMatrix(tuple(state.dims[i] for i in keep0), rho)
 
 
-def _sqrtm_psd(mat: np.ndarray) -> np.ndarray:
-    evals, vecs = np.linalg.eigh(mat)
-    evals = np.clip(evals, 0.0, None)
-    return (vecs * np.sqrt(evals)) @ vecs.conj().T
+def _unfolding_grams(tensor: np.ndarray, slots: Sequence[tuple[int, ...]], n2: float) -> np.ndarray:
+    """Stack of the reduced states M M^H / n2, one per tuple of 0-based axes.
+
+    M unfolds `tensor` with the axes of one tuple first, in the order
+    `partial_trace` uses, so entry i equals `partial_trace` keeping slots[i].
+    Every tuple must keep the same total dimension.  The unfoldings are formed
+    one at a time and multiplied straight into the stack.
+    """
+    size = math.prod(tensor.shape[k] for k in slots[0])
+    stack = np.empty((len(slots), size, size), dtype=complex)
+    for out, axes in zip(stack, slots):
+        rest = [k for k in range(tensor.ndim) if k not in axes]
+        block = tensor.transpose(list(axes) + rest).reshape(size, -1)
+        np.matmul(block, block.conj().T, out=out)
+    stack /= n2
+    return stack
+
+
+def _wootters(evals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Wootters concurrences of two-qubit density matrices from their `eigh`.
+
+    Takes one spectrum or a stack of them and returns one value per matrix.
+    """
+    root = (vecs * np.sqrt(np.clip(evals, 0.0, None))[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    lam = np.linalg.svd(root @ _SPIN_FLIP @ root.conj(), compute_uv=False)
+    return np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
 
 
 def wootters_concurrence(rho: DensityMatrix | np.ndarray) -> float:
@@ -122,9 +176,7 @@ def wootters_concurrence(rho: DensityMatrix | np.ndarray) -> float:
         rho = DensityMatrix((2, 2), rho)
     if rho.dims != (2, 2):
         raise ValueError(f"wootters_concurrence needs a two-qubit state, got dims {list(rho.dims)}")
-    root = _sqrtm_psd(rho.mat)
-    lam = np.linalg.svd(root @ _SPIN_FLIP @ root.conj(), compute_uv=False)
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    return float(_wootters(*np.linalg.eigh(rho.mat)))
 
 
 def three_tangle(state: PureState) -> float:
@@ -165,23 +217,38 @@ def three_tangle(state: PureState) -> float:
 def oracle_classify(state: PureState, tol: float = DEFAULT_TOL) -> OracleVerdict:
     """Classify a pure state from reduced-state data alone.
 
-    Product and biseparable detection work for any shape via single-party
-    purities.  Full class labels (BISEPARABLE / W / GHZ) are produced only
-    for three qubits; other entangled shapes get the generic ENTANGLED
-    label.  Near-degenerate cases resolve in the fixed priority
+    The purities of all one-party marginals, the Wootters concurrences of all
+    two-qubit marginals (all-qubit states only) and the three-tangle ((2,2,2)
+    only) come from the stacked pass described in the module docstring.
+    PRODUCT (every marginal pure within `tol`) is detected for any shape.
+    The BISEPARABLE, W_CLASS and GHZ_CLASS labels exist only for three
+    qubits; every other entangled shape gets the generic ENTANGLED label.
+    Near-degenerate cases resolve in the fixed priority
     PRODUCT > BISEPARABLE > GHZ > W, with the losing candidates recorded in
-    `ties`.
+    `ties`.  Raises ValueError for the zero vector and for a `tol` that is
+    not a positive finite number.
     """
-    purities = tuple(partial_trace(state, (k,)).purity() for k in range(1, state.m + 1))
+    require_tol(tol)
+    n2 = state.norm2
+    if n2 == 0.0:
+        raise ValueError("cannot reduce the zero vector")
+    tensor = state.amps.reshape(state.dims)
+    purities = [0.0] * state.m
+    for n in set(state.dims):
+        slots = [k for k, n_k in enumerate(state.dims) if n_k == n]
+        rho = _unfolding_grams(tensor, [(k,) for k in slots], n2)
+        _density_spectrum(rho)
+        for k, purity in zip(slots, (rho @ rho).trace(axis1=1, axis2=2).real.tolist()):
+            purities[k] = purity
+    purities = tuple(purities)
     pure_marginals = [k for k, p in enumerate(purities, start=1) if abs(p - 1.0) <= tol]
     all_qubits = all(n == 2 for n in state.dims)
 
     pairwise = None
     if all_qubits and state.m >= 2:
-        pairwise = {
-            pair: wootters_concurrence(partial_trace(state, pair))
-            for pair in itertools.combinations(range(1, state.m + 1), 2)
-        }
+        pairs = list(itertools.combinations(range(state.m), 2))
+        evals, vecs = _density_spectrum(_unfolding_grams(tensor, pairs, n2), vectors=True)
+        pairwise = {(k + 1, l + 1): c for (k, l), c in zip(pairs, _wootters(evals, vecs).tolist())}
 
     tangle = three_tangle(state) if state.dims == (2, 2, 2) else None
 

@@ -19,6 +19,17 @@ import numpy as np
 DEFAULT_TOL = 1e-9
 
 
+def require_tol(tol: float) -> None:
+    """Raise ValueError unless `tol` is a positive finite number.
+
+    A NaN compares false with everything, and with 0, a negative or an
+    infinite tol every threshold test comes out the same way whatever the
+    state, so none of them can separate one verdict from another.
+    """
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be a positive finite number, got {tol}")
+
+
 def _readonly_complex_vector(values) -> np.ndarray:
     arr = np.array(values, dtype=complex)
     if arr.ndim != 1:
