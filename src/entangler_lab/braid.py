@@ -15,8 +15,40 @@ are measured on the smallest window that holds them: every adjacent residual
 is the 3-strand Yang-Baxter residual, and every commuting residual is the
 4-strand residual of R (x) I_{d^2} against I_{d^2} (x) R.  No n-strand matrix
 is built; `StrandRep.generator` remains as the dense reference.  The
-3-strand windows are d^3 x d^3, so they are held to the same MAX_TOTAL_DIM
-as d^n and refused before the first allocation.
+quasitriangular residual is the Yang-Baxter residual of P R, P the factor
+swap (see `check_quasitriangular`), so it is computed once.
+
+Monomial operators.  When R holds exactly one nonzero per row and per column
+(every gate of the `entangler` family does), R (x) I and I (x) R are
+monomial too, and so is every product of them.  Each is kept as a
+destination row and a value per column, products are gathers, and a
+residual is read column by column: where the two sides send a column to the
+same row it is |l - r|, where they send it to different rows it is
+max(|l|, |r|).  That is O(d^3) for the Yang-Baxter window and O(d^4) for the
+commuting one, against O(d^9) and O(d^12) for the dense products, which stay
+for every other R (and for a monomial R with a non-finite entry).  The
+commuting products multiply their two values in one fixed order, so a
+monomial R commutes with residual exactly 0.0, as the dense path gives.  The
+3-strand windows are d^3 x d^3 when dense, and the n-strand representation
+d^n; both are held to MAX_TOTAL_DIM and refused before the first allocation,
+whichever path would run.
+
+The family's two-strand gates (m = 2, N = d).  Write R|c> = alpha_c |s(c)>
+for the corner-fixing interior reversal s on pairs of digits, and let
+sigma_L = (s x id)(id x s)(s x id) and sigma_R = (id x s)(s x id)(id x s) be
+the permutations of the N^3 three-strand labels that the two sides apply.
+
+* N = 2: s fixes |11> and |22> and exchanges |12> and |21>, so s is the
+  factor swap and R = P diag(alpha).  Then both sides send |xyz> to |zyx>,
+  with the values alpha_xy alpha_xz alpha_yz and alpha_yz alpha_xz alpha_xy:
+  the same product in another order.  Every two-qubit gate of the family
+  solves the Yang-Baxter equation, unimodular or not; the measured residual
+  is rounding of size eps * max|alpha|^3.
+* N >= 3: sigma_L != sigma_R.  On the label |1,1,2> (1-based digits),
+  sigma_L gives |N,1,N-1> and sigma_R gives |N,N,2>: the column's two
+  nonzeros sit in different rows, so the residual is at least the modulus of
+  a product of three alphas.  For a unimodular gate no parameter choice
+  solves the equation: its residual is >= 1 up to rounding (and <= 2).
 """
 
 from __future__ import annotations
@@ -26,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state_core import DEFAULT_TOL, OperatorMatrix
+from .state_core import DEFAULT_TOL, OperatorMatrix, monomial_entries
 
 MAX_TOTAL_DIM = 4096
 
@@ -93,7 +125,8 @@ class StrandRep:
             raise ValueError("need at least two strands")
         mat = _as_matrix(R)
         d = _strand_dim(mat)
-        if d**n > MAX_TOTAL_DIM:
+        # d >= 2, so n beyond the cap's bit length is over it: d**n is never formed
+        if n > MAX_TOTAL_DIM.bit_length() or d**n > MAX_TOTAL_DIM:
             raise ValueError(
                 f"total dimension {d}^{n} exceeds the dense-verification cap {MAX_TOTAL_DIM}"
             )
@@ -114,16 +147,77 @@ class StrandRep:
         return [self.generator(i) for i in range(1, self.n)]
 
 
+def _monomial_columns(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(dest, w) with mat[dest[j], j] = w[j] for every column j, or None if not monomial."""
+    entries = monomial_entries(mat)
+    if entries is None:
+        return None
+    cols, values = entries
+    dest = np.empty_like(cols)
+    dest[cols] = np.arange(len(cols))
+    return dest, values[dest]
+
+
+def _padded(columns: tuple[np.ndarray, np.ndarray], left: int, right: int) -> tuple[np.ndarray, np.ndarray]:
+    """I_left (x) M (x) I_right in the (dest, w) form of the monomial M."""
+    dest, w = columns
+    n = len(dest)
+    out = (np.arange(left)[:, None, None] * n + dest[:, None]) * right + np.arange(right)
+    return out.ravel(), np.broadcast_to(w[:, None], (left, n, right)).ravel()
+
+
+def _then(first, second) -> tuple[np.ndarray, np.ndarray]:
+    """second @ first in the (dest, w) form: apply `first`, then `second`."""
+    return second[0][first[0]], second[1][first[0]] * first[1]
+
+
+def _monomial_residual(lhs, rhs) -> float:
+    """max |lhs - rhs| over the entries of two monomial matrices in (dest, w) form.
+
+    A column whose two nonzeros share a row differs by |l - r| there; one
+    whose nonzeros sit in different rows holds l in one and -r in the other.
+    """
+    (ld, lw), (rd, rw) = lhs, rhs
+    per_column = np.where(ld == rd, np.abs(lw - rw), np.maximum(np.abs(lw), np.abs(rw)))
+    return float(np.max(per_column))
+
+
 def check_ybe(R: OperatorMatrix | np.ndarray, tol: float = DEFAULT_TOL) -> YbeResult:
-    """Entry-wise max residual of the Yang-Baxter equation for a d^2 x d^2 operator."""
+    """Entry-wise max residual of the Yang-Baxter equation for a d^2 x d^2 operator.
+
+    A monomial R gets the residual from its (permutation, values) form in
+    O(d^3); any other R gets the dense d^3 x d^3 products.
+    """
     mat = _as_matrix(R)
     d = _strand_dim(mat)
     require_ybe_window(d)
-    eye = np.eye(d, dtype=complex)
-    a = np.kron(mat, eye)
-    b = np.kron(eye, mat)
-    residual = float(np.max(np.abs(a @ b @ a - b @ a @ b)))
+    columns = _monomial_columns(mat)
+    if columns is not None:
+        a = _padded(columns, 1, d)
+        b = _padded(columns, d, 1)
+        residual = _monomial_residual(_then(_then(a, b), a), _then(_then(b, a), b))
+    else:
+        eye = np.eye(d, dtype=complex)
+        a = np.kron(mat, eye)
+        b = np.kron(eye, mat)
+        residual = float(np.max(np.abs(a @ b @ a - b @ a @ b)))
     return YbeResult(residual=residual, passed=residual <= tol, d=d)
+
+
+def _commuting_residual(mat: np.ndarray, d: int) -> float:
+    """Residual of (R (x) I_{d^2}) (I_{d^2} (x) R) = (I_{d^2} (x) R) (R (x) I_{d^2})."""
+    columns = _monomial_columns(mat)
+    if columns is None:
+        a = np.kron(mat, np.eye(d**2, dtype=complex))
+        b = np.kron(np.eye(d**2, dtype=complex), mat)
+        return float(np.max(np.abs(a @ b - b @ a)))
+    a = _padded(columns, 1, d**2)
+    b = _padded(columns, d**2, 1)
+    # both products multiply the R (x) I factor first: complex multiplication
+    # is not bitwise commutative, and the same order keeps equal values equal
+    ab = a[0][b[0]], a[1][b[0]] * b[1]
+    ba = b[0][a[0]], a[1] * b[1][a[0]]
+    return _monomial_residual(ab, ba)
 
 
 def check_braid_relations(
@@ -140,11 +234,7 @@ def check_braid_relations(
     n = rep.n
     adjacent_residual = (ybe or check_ybe(rep.R)).residual if n >= 3 else 0.0
     adjacent = tuple((i, adjacent_residual) for i in range(1, n - 1))
-    commuting_residual = 0.0
-    if n >= 4:
-        a = np.kron(rep.R, np.eye(rep.v_dim**2, dtype=complex))
-        b = np.kron(np.eye(rep.v_dim**2, dtype=complex), rep.R)
-        commuting_residual = float(np.max(np.abs(a @ b - b @ a)))
+    commuting_residual = _commuting_residual(rep.R, rep.v_dim) if n >= 4 else 0.0
     commuting = tuple((i, j, commuting_residual) for i in range(1, n) for j in range(i + 2, n))
     return BraidRelationReport(
         n=n,
@@ -156,30 +246,32 @@ def check_braid_relations(
     )
 
 
+def _factor_swap_order(d: int) -> np.ndarray:
+    """Row order of the factor swap: (P M)[q] = M[order[q]]."""
+    return np.arange(d * d).reshape(d, d).T.ravel()
+
+
 def factor_swap(d: int) -> np.ndarray:
     """The permutation exchanging the two d-dimensional tensor factors."""
-    perm = np.arange(d * d).reshape(d, d).T.ravel()
-    return np.eye(d * d, dtype=complex)[perm]
+    return np.eye(d * d, dtype=complex)[_factor_swap_order(d)]
 
 
 def check_quasitriangular(R: OperatorMatrix | np.ndarray, tol: float = DEFAULT_TOL) -> QuasitriangularResult:
     """Residual of R12 R13 R23 = R23 R13 R12 on three factors.
 
     R12 = R (x) I, R23 = I (x) R, and R13 conjugates R12 by the swap of the
-    last two factors.  Whenever this relation holds, swap @ R satisfies the
-    Yang-Baxter equation; the induced check is included in the result (the
-    two residuals coincide numerically, the difference matrices being
-    permutations of one another).
+    last two factors.  With P the factor swap and Rc = P R,
+
+        Rc12 Rc23 Rc12 - Rc23 Rc12 Rc23 = P13 (R23 R13 R12 - R12 R13 R23),
+
+    and P13 only permutes rows, so the two differences hold the same entries
+    and their entry-wise maxima are equal.  The residual is therefore the
+    Yang-Baxter residual of P R, computed once (P R is a row gather of R)
+    and also reported as `induced_ybe`: the relation holds exactly when
+    P R solves the Yang-Baxter equation.
     """
     mat = _as_matrix(R)
     d = _strand_dim(mat)
     require_ybe_window(d)
-    eye = np.eye(d, dtype=complex)
-    pi = factor_swap(d)
-    r12 = np.kron(mat, eye)
-    r23 = np.kron(eye, mat)
-    swap23 = np.kron(eye, pi)
-    r13 = swap23 @ r12 @ swap23
-    residual = float(np.max(np.abs(r12 @ r13 @ r23 - r23 @ r13 @ r12)))
-    induced = check_ybe(pi @ mat, tol)
-    return QuasitriangularResult(residual=residual, passed=residual <= tol, induced_ybe=induced)
+    induced = check_ybe(mat[_factor_swap_order(d)], tol)
+    return QuasitriangularResult(residual=induced.residual, passed=induced.passed, induced_ybe=induced)

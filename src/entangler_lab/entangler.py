@@ -28,7 +28,7 @@ import numpy as np
 from .class_operators import ClassKind
 from .concurrence import ConditionReport, classify
 from .oracle import OracleVerdict, oracle_classify, verdicts_agree
-from .state_core import DEFAULT_TOL, OperatorMatrix, PureState, uniform_input
+from .state_core import DEFAULT_TOL, OperatorMatrix, PureState, monomial_entries, uniform_input
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,22 +118,8 @@ def build_r(spec: EntanglerSpec) -> OperatorMatrix:
     s = _reversal(d)
     mat = np.zeros((d, d), dtype=complex)
     mat[np.arange(d), s] = spec.alpha[s]
+    mat.setflags(write=False)  # read-only and owning its data: adopted without a copy
     return OperatorMatrix((spec.N,) * spec.m, mat)
-
-
-def _monomial_values(mat: np.ndarray) -> np.ndarray | None:
-    """The nonzero of each row if every row and column holds exactly one and all are finite."""
-    d = mat.shape[0]
-    nonzero = mat != 0
-    if np.count_nonzero(nonzero) != d:
-        return None
-    rows = np.arange(d)
-    cols = nonzero.argmax(axis=1)  # first nonzero column of each row
-    # d nonzeros, at least one in every row, each column hit once
-    if not (nonzero[rows, cols].all() and np.all(np.bincount(cols, minlength=d) == 1)):
-        return None
-    values = mat[rows, cols]
-    return values if np.all(np.isfinite(values)) else None
 
 
 def check_unitary(op: OperatorMatrix | np.ndarray, tol: float = DEFAULT_TOL) -> UnitarityCheck:
@@ -149,8 +135,9 @@ def check_unitary(op: OperatorMatrix | np.ndarray, tol: float = DEFAULT_TOL) -> 
     mat = op.mat if isinstance(op, OperatorMatrix) else np.asarray(op, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    v = _monomial_values(mat)
-    if v is not None:
+    entries = monomial_entries(mat)
+    if entries is not None:
+        v = entries[1]
         deviation = float(np.max(np.abs(v.real**2 + v.imag**2 - 1)))
     else:
         deviation = float(np.max(np.abs(mat @ mat.conj().T - np.eye(mat.shape[0]))))

@@ -188,7 +188,10 @@ def three_tangle(state: PureState) -> float:
     """
     if state.dims != (2, 2, 2):
         raise ValueError(f"three_tangle needs dims [2, 2, 2], got {list(state.dims)}")
-    a = state.normalize().amps
+    n2 = state.norm2
+    if n2 == 0.0:
+        raise ValueError("cannot normalize the zero vector")
+    a = state.amps / math.sqrt(n2)
 
     def g(i, j, k):  # 0-based qubit digits
         return a[4 * i + 2 * j + k]

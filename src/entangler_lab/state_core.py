@@ -82,14 +82,29 @@ class PureState:
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Dense complex square matrix tagged with the subsystem dimensions it acts on."""
+    """Dense complex square matrix tagged with the subsystem dimensions it acts on.
+
+    The stored matrix is read-only.  A complex128 ndarray that owns its data
+    and is already read-only is adopted as it is, without a copy (this is how
+    `build_r` hands over the gate it has just filled); every other input,
+    including a caller's writable array, is copied, so later writes to the
+    caller's array do not reach `mat`.
+    """
 
     dims: tuple[int, ...]
     mat: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
-        mat = np.array(self.mat, dtype=complex)
+        mat = self.mat
+        adoptable = (
+            isinstance(mat, np.ndarray)
+            and mat.dtype == np.complex128
+            and mat.flags.owndata
+            and not mat.flags.writeable
+        )
+        if not adoptable:
+            mat = np.array(mat, dtype=complex)
         d = math.prod(self.dims)
         if mat.shape != (d, d):
             raise ValueError(f"expected a {d}x{d} matrix for dims {list(self.dims)}, got {mat.shape}")
@@ -99,6 +114,25 @@ class OperatorMatrix:
     @property
     def dim(self) -> int:
         return math.prod(self.dims)
+
+
+def monomial_entries(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The column and the value of each row's nonzero, if `mat` is monomial.
+
+    Monomial means every row and every column holds exactly one nonzero, and
+    all of them are finite; any other square matrix gives None.
+    """
+    d = mat.shape[0]
+    nonzero = mat != 0
+    if np.count_nonzero(nonzero) != d:
+        return None
+    rows = np.arange(d)
+    cols = nonzero.argmax(axis=1)  # first nonzero column of each row
+    # d nonzeros, at least one in every row, each column hit once
+    if not (nonzero[rows, cols].all() and np.all(np.bincount(cols, minlength=d) == 1)):
+        return None
+    values = mat[rows, cols]
+    return (cols, values) if np.all(np.isfinite(values)) else None
 
 
 @dataclass(frozen=True)

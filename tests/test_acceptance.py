@@ -168,13 +168,22 @@ def test_criterion_7_yang_baxter_and_braid_suite():
         if result.residual < 1e-12:
             ybe_solutions.append(("two-qubit gate", build_r(spec).mat))
     region_notes.append(f"m=2 N=2 unimodular gates: worst residual {two_qubit_worst:.2e} (all solve)")
-    qutrit_best = math.inf
+    # the braid docstring's proof: every N=2 gate solves the equation, |alpha| = 1 or not
+    eps = np.finfo(float).eps
     for _ in range(25):
-        spec = EntanglerSpec(2, 3, np.exp(1j * rng.uniform(0, 2 * np.pi, 9)))
-        qutrit_best = min(qutrit_best, check_ybe(build_r(spec)).residual)
-    region_notes.append(f"m=2 N=3 unimodular gates: best residual {qutrit_best:.2e} (none solve)")
+        alpha = 10.0 ** rng.uniform(-2, 2, 4) * np.exp(1j * rng.uniform(0, 2 * np.pi, 4))
+        bound = 8 * eps * np.max(np.abs(alpha)) ** 3
+        assert check_ybe(build_r(EntanglerSpec(2, 2, alpha))).residual <= bound
+    # ... and for N >= 3 the two sides permute the legs differently, so a
+    # unimodular gate has residual at least 1
+    for N in (3, 4):
+        best = math.inf
+        for _ in range(25):
+            spec = EntanglerSpec(2, N, np.exp(1j * rng.uniform(0, 2 * np.pi, N * N)))
+            best = min(best, check_ybe(build_r(spec)).residual)
+        region_notes.append(f"m=2 N={N} unimodular gates: best residual {best:.2e} (none solve)")
+        assert best >= 1 - 1e-12
     assert two_qubit_worst < 1e-12
-    assert qutrit_best > 1e-3
 
     # YBE solution => braid relation on 3 and 4 strands
     for name, mat in ybe_solutions:

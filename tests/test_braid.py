@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entangler_lab.braid as braid_module
 from entangler_lab.braid import (
+    MAX_TOTAL_DIM,
     StrandRep,
     check_braid_relations,
     check_quasitriangular,
@@ -183,6 +188,9 @@ def test_strand_validation():
     with pytest.raises(ValueError):
         StrandRep(13, SWAP2)  # 2^13 > 4096
     StrandRep(12, SWAP2)  # 2^12 = 4096 is the cap
+    # refused without forming 2^(10^15), a number of 10^15 bits
+    with pytest.raises(ValueError, match=r"2\^1000000000000000 exceeds the dense-verification cap 4096"):
+        StrandRep(10**15, SWAP2)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -206,7 +214,8 @@ def test_quasitriangular_random_unitary_reported():
     result = check_quasitriangular(mat)
     assert result.residual > 1e-6  # generically violated
     # the induced operator's YBE defect is the same numbers rearranged
-    assert result.induced_ybe.residual == pytest.approx(result.residual, rel=1e-10)
+    assert result.induced_ybe.residual == result.residual
+    assert result.residual == pytest.approx(dense_quasitriangular(mat), rel=1e-12)
 
 
 def test_quasitriangular_solution_induces_ybe_solution():
@@ -214,3 +223,101 @@ def test_quasitriangular_solution_induces_ybe_solution():
         result = check_quasitriangular(mat)
         if result.passed:
             assert result.induced_ybe.passed
+
+
+# ---------------------------------------------------------------------------
+# the monomial path against the dense products
+
+
+def dense_ybe(mat):
+    d = math.isqrt(mat.shape[0])
+    eye = np.eye(d, dtype=complex)
+    a, b = np.kron(mat, eye), np.kron(eye, mat)
+    return float(np.max(np.abs(a @ b @ a - b @ a @ b)))
+
+
+def dense_quasitriangular(mat):
+    """max |R12 R13 R23 - R23 R13 R12|, R13 being R12 conjugated by the swap of factors 2 and 3."""
+    d = math.isqrt(mat.shape[0])
+    eye = np.eye(d, dtype=complex)
+    r12, r23 = np.kron(mat, eye), np.kron(eye, mat)
+    swap23 = np.kron(eye, factor_swap(d))
+    r13 = swap23 @ r12 @ swap23
+    return float(np.max(np.abs(r12 @ r13 @ r23 - r23 @ r13 @ r12)))
+
+
+def dense_commuting(mat):
+    eye = np.eye(mat.shape[0], dtype=complex)
+    a, b = np.kron(mat, eye), np.kron(eye, mat)
+    return float(np.max(np.abs(a @ b - b @ a)))
+
+
+def monomial(perm, values):
+    mat = np.zeros((len(perm), len(perm)), dtype=complex)
+    mat[np.arange(len(perm)), perm] = values
+    return mat
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.booleans())
+def test_monomial_residuals_equal_dense_products(d, seed, unimodular):
+    g = np.random.default_rng(seed)
+    values = np.exp(1j * g.uniform(0, 2 * np.pi, d * d))
+    if not unimodular:
+        values *= 10.0 ** g.uniform(-3, 3, d * d)  # moduli 1e-3 .. 1e3
+    mat = monomial(g.permutation(d * d), values)
+    # each side is a product of three entries, rounded differently by the two paths
+    bound = 4 * np.finfo(float).eps * np.max(np.abs(values)) ** 3
+    assert abs(check_ybe(mat).residual - dense_ybe(mat)) <= bound
+    quasi = check_quasitriangular(mat)
+    assert abs(quasi.residual - dense_quasitriangular(mat)) <= bound
+    assert quasi.residual == quasi.induced_ybe.residual
+    if d <= 4:
+        assert check_braid_relations(StrandRep(4, mat)).max_commuting_residual == 0.0
+
+
+def non_monomial(case):
+    g = np.random.default_rng(32)
+    n = 9  # d = 3
+    perm = g.permutation(n)
+    mat = monomial(perm, np.exp(1j * g.uniform(0, 2 * np.pi, n)))
+    if case == "extra nonzero":
+        mat[2, perm[3]] = 0.25
+    elif case == "zero row":
+        mat[2] = 0
+    elif case == "non-finite entry":
+        mat[2, perm[2]] = np.inf
+    elif case == "haar unitary":
+        mat = random_unitary(n)
+    elif case == "random dense":
+        mat = random_operator(3)
+    return mat
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf * 0
+@pytest.mark.parametrize("case", ["extra nonzero", "zero row", "non-finite entry", "haar unitary", "random dense"])
+def test_non_monomial_residuals_are_the_dense_products(case):
+    mat = non_monomial(case)
+    np.testing.assert_array_equal(check_ybe(mat).residual, dense_ybe(mat))  # NaN == NaN here
+    np.testing.assert_array_equal(check_quasitriangular(mat).residual, dense_ybe(factor_swap(3) @ mat))
+    report = check_braid_relations(StrandRep(4, mat))
+    np.testing.assert_array_equal(report.max_commuting_residual, dense_commuting(mat))
+
+
+def test_gate_checks_build_no_dense_window(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense window built")
+
+    monkeypatch.setattr(braid_module.np, "kron", refuse)
+    for d in (2, 3, 4, 8, 16):
+        mat = gate_operator(d)
+        n = max(n for n in range(2, 13) if d**n <= MAX_TOTAL_DIM)
+        ybe = check_ybe(mat)
+        report = check_braid_relations(StrandRep(n, mat))
+        quasi = check_quasitriangular(mat)
+        if d == 2:
+            assert ybe.residual <= 1e-12 and report.passed
+        else:
+            assert ybe.residual >= 1 - 1e-12 and not report.passed
+        assert report.max_commuting_residual == 0.0
+        assert quasi.residual == quasi.induced_ybe.residual

@@ -321,6 +321,13 @@ def test_braid_ybe_window_cap(tmp_path, capsys):
     assert err.startswith("error: ") and "17^3 exceeds the dense-verification cap 4096" in err
 
 
+def test_braid_strand_count_far_over_the_cap(tmp_path, capsys):
+    path = write_json(tmp_path, "id.json", identity_matrix_doc(4))
+    code, out, err = run(capsys, "braid", "--r-file", path, "--strands", str(10**15))
+    assert code == EXIT_SCHEMA and out == ""
+    assert "exceeds the dense-verification cap 4096" in err
+
+
 def test_braid_non_square_dimension(tmp_path, capsys):
     path = write_json(tmp_path, "odd.json", identity_matrix_doc(3))
     code, _, err = run(capsys, "braid", "--r-file", path, "--strands", "3")

@@ -280,6 +280,17 @@ def test_gate_unitarity_allocates_no_dense_product():
     assert peak < 16 * r.dim**2  # less than one d x d complex matrix (16 MiB)
 
 
+def test_build_r_holds_one_dense_gate():
+    spec = random_unimodular_spec(2, 32)  # d = 1024
+    tracemalloc.start()
+    try:
+        r = build_r(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * 16 * r.dim**2  # the gate itself and no second copy
+
+
 def test_gate_analysis_builds_no_dense_gate(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("dense gate built")

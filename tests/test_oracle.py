@@ -166,6 +166,16 @@ def test_three_tangle_shape_validation():
         three_tangle(random_state((2, 2)))
     with pytest.raises(ValueError):
         three_tangle(random_state((3, 3, 3)))
+    with pytest.raises(ValueError, match="cannot normalize the zero vector"):
+        three_tangle(PureState((2, 2, 2), np.zeros(8)))
+
+
+def test_three_tangle_builds_no_normalized_state(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("normalized copy of the state built")
+
+    monkeypatch.setattr(PureState, "normalize", refuse)
+    assert three_tangle(PureState((2, 2, 2), 3.0 * ghz_state().amps)) == pytest.approx(1.0, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------

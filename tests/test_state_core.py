@@ -160,6 +160,23 @@ def test_operator_matrix_validation():
         OperatorMatrix((2, 2), np.eye(3))
 
 
+def test_operator_matrix_copies_a_writable_array():
+    arr = np.eye(4, dtype=complex)
+    op = OperatorMatrix((2, 2), arr)
+    arr[0, 0] = 5
+    assert op.mat[0, 0] == 1 and not op.mat.flags.writeable
+
+
+def test_operator_matrix_adopts_only_an_owned_read_only_complex_array():
+    arr = np.eye(4, dtype=complex)
+    arr.setflags(write=False)
+    assert OperatorMatrix((2, 2), arr).mat is arr
+    for other in (arr[:, :], np.eye(4)):  # a view, a float array
+        other.setflags(write=False)
+        op = OperatorMatrix((2, 2), other)
+        assert op.mat is not other and op.mat.dtype == complex
+
+
 def test_canonical_states():
     g = ghz_state()
     assert g.amps[0] == pytest.approx(1 / math.sqrt(2))
