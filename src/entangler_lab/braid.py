@@ -26,7 +26,10 @@ residual is read column by column: where the two sides send a column to the
 same row it is |l - r|, where they send it to different rows it is
 max(|l|, |r|).  That is O(d^3) for the Yang-Baxter window and O(d^4) for the
 commuting one, against O(d^9) and O(d^12) for the dense products, which stay
-for every other R (and for a monomial R with a non-finite entry).  The
+for every other R (and for a monomial R with a non-finite entry).  A
+monomial `OperatorMatrix`, such as every gate `build_r` returns, hands its
+(permutation, values) pair to each check, so no d^2 x d^2 matrix is formed
+or scanned; a dense matrix is scanned once per check for the pair.  The
 commuting products multiply their two values in one fixed order, so a
 monomial R commutes with residual exactly 0.0, as the dense path gives.  The
 3-strand windows are d^3 x d^3 when dense, and the n-strand representation
@@ -63,20 +66,27 @@ from .state_core import DEFAULT_TOL, OperatorMatrix, monomial_entries
 MAX_TOTAL_DIM = 4096
 
 
-def _as_matrix(op: OperatorMatrix | np.ndarray) -> np.ndarray:
-    mat = op.mat if isinstance(op, OperatorMatrix) else np.asarray(op, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    return mat
+def _two_strand(R: OperatorMatrix | np.ndarray) -> tuple[OperatorMatrix | np.ndarray, int]:
+    """R, kept as an OperatorMatrix or read as a complex array, and its strand dimension d.
+
+    R must be a d^2 x d^2 matrix with d >= 2.  An OperatorMatrix is square by
+    construction, so its dense matrix is not read here.
+    """
+    if isinstance(R, OperatorMatrix):
+        size = R.dim
+    else:
+        R = np.asarray(R, dtype=complex)
+        if R.ndim != 2 or R.shape[0] != R.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {R.shape}")
+        size = R.shape[0]
+    d = math.isqrt(size)
+    if d < 2 or d * d != size:
+        raise ValueError(f"matrix dimension {size} is not d^2 for an integer d >= 2")
+    return R, d
 
 
-def _strand_dim(mat: np.ndarray) -> int:
-    d = math.isqrt(mat.shape[0])
-    if d < 2 or d * d != mat.shape[0]:
-        raise ValueError(
-            f"matrix dimension {mat.shape[0]} is not d^2 for an integer d >= 2"
-        )
-    return d
+def _dense(R: OperatorMatrix | np.ndarray) -> np.ndarray:
+    return R.mat if isinstance(R, OperatorMatrix) else R
 
 
 def require_ybe_window(d: int) -> None:
@@ -116,15 +126,16 @@ class QuasitriangularResult:
 class StrandRep:
     """The n-strand representation induced by R, checked against MAX_TOTAL_DIM.
 
-    `generator(i)` builds the dense d^n x d^n matrix tau(b_i) on every call;
-    the relation checks never need it.
+    `operator` is R as given (an OperatorMatrix stays one), and the relation
+    checks read it.  `R` is its dense matrix, read only by `generator(i)`,
+    which builds the dense d^n x d^n matrix tau(b_i) on every call; the
+    relation checks never need either.
     """
 
     def __init__(self, n: int, R: OperatorMatrix | np.ndarray):
         if n < 2:
             raise ValueError("need at least two strands")
-        mat = _as_matrix(R)
-        d = _strand_dim(mat)
+        op, d = _two_strand(R)
         # d >= 2, so n beyond the cap's bit length is over it: d**n is never formed
         if n > MAX_TOTAL_DIM.bit_length() or d**n > MAX_TOTAL_DIM:
             raise ValueError(
@@ -132,7 +143,12 @@ class StrandRep:
             )
         self.n = n
         self.v_dim = d
-        self.R = mat
+        self.operator = op
+
+    @property
+    def R(self) -> np.ndarray:
+        """The dense d^2 x d^2 matrix of R (a monomial operator builds it on first read)."""
+        return _dense(self.operator)
 
     def generator(self, i: int) -> np.ndarray:
         """tau(b_i) for 1 <= i <= n-1."""
@@ -147,9 +163,9 @@ class StrandRep:
         return [self.generator(i) for i in range(1, self.n)]
 
 
-def _monomial_columns(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """(dest, w) with mat[dest[j], j] = w[j] for every column j, or None if not monomial."""
-    entries = monomial_entries(mat)
+def _monomial_columns(R: OperatorMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(dest, w) with R[dest[j], j] = w[j] for every column j, or None if not monomial."""
+    entries = monomial_entries(R)
     if entries is None:
         return None
     cols, values = entries
@@ -186,17 +202,18 @@ def check_ybe(R: OperatorMatrix | np.ndarray, tol: float = DEFAULT_TOL) -> YbeRe
     """Entry-wise max residual of the Yang-Baxter equation for a d^2 x d^2 operator.
 
     A monomial R gets the residual from its (permutation, values) form in
-    O(d^3); any other R gets the dense d^3 x d^3 products.
+    O(d^3), read off the stored pair of a monomial OperatorMatrix without a
+    d^2 x d^2 matrix; any other R gets the dense d^3 x d^3 products.
     """
-    mat = _as_matrix(R)
-    d = _strand_dim(mat)
+    R, d = _two_strand(R)
     require_ybe_window(d)
-    columns = _monomial_columns(mat)
+    columns = _monomial_columns(R)
     if columns is not None:
         a = _padded(columns, 1, d)
         b = _padded(columns, d, 1)
         residual = _monomial_residual(_then(_then(a, b), a), _then(_then(b, a), b))
     else:
+        mat = _dense(R)
         eye = np.eye(d, dtype=complex)
         a = np.kron(mat, eye)
         b = np.kron(eye, mat)
@@ -204,10 +221,11 @@ def check_ybe(R: OperatorMatrix | np.ndarray, tol: float = DEFAULT_TOL) -> YbeRe
     return YbeResult(residual=residual, passed=residual <= tol, d=d)
 
 
-def _commuting_residual(mat: np.ndarray, d: int) -> float:
+def _commuting_residual(R: OperatorMatrix | np.ndarray, d: int) -> float:
     """Residual of (R (x) I_{d^2}) (I_{d^2} (x) R) = (I_{d^2} (x) R) (R (x) I_{d^2})."""
-    columns = _monomial_columns(mat)
+    columns = _monomial_columns(R)
     if columns is None:
+        mat = _dense(R)
         a = np.kron(mat, np.eye(d**2, dtype=complex))
         b = np.kron(np.eye(d**2, dtype=complex), mat)
         return float(np.max(np.abs(a @ b - b @ a)))
@@ -228,13 +246,13 @@ def check_braid_relations(
     Commutation needs n >= 4 to be nontrivial; the adjacent relation needs
     n >= 3.  With fewer strands the corresponding list is simply empty.  Each
     residual is measured once on its window and reported for every i or pair;
-    a caller that already holds `check_ybe(rep.R)` passes it as `ybe` so the
-    adjacent residual is not computed again.
+    a caller that already holds `check_ybe(rep.operator)` passes it as `ybe`
+    so the adjacent residual is not computed again.
     """
     n = rep.n
-    adjacent_residual = (ybe or check_ybe(rep.R)).residual if n >= 3 else 0.0
+    adjacent_residual = (ybe or check_ybe(rep.operator)).residual if n >= 3 else 0.0
     adjacent = tuple((i, adjacent_residual) for i in range(1, n - 1))
-    commuting_residual = _commuting_residual(rep.R, rep.v_dim) if n >= 4 else 0.0
+    commuting_residual = _commuting_residual(rep.operator, rep.v_dim) if n >= 4 else 0.0
     commuting = tuple((i, j, commuting_residual) for i in range(1, n) for j in range(i + 2, n))
     return BraidRelationReport(
         n=n,
@@ -266,12 +284,19 @@ def check_quasitriangular(R: OperatorMatrix | np.ndarray, tol: float = DEFAULT_T
 
     and P13 only permutes rows, so the two differences hold the same entries
     and their entry-wise maxima are equal.  The residual is therefore the
-    Yang-Baxter residual of P R, computed once (P R is a row gather of R)
-    and also reported as `induced_ybe`: the relation holds exactly when
-    P R solves the Yang-Baxter equation.
+    Yang-Baxter residual of P R, computed once and also reported as
+    `induced_ybe`: the relation holds exactly when P R solves the Yang-Baxter
+    equation.  P R is a row gather of R: of its (cols, values) pair when R
+    is monomial, so no dense matrix is formed, and of its dense matrix
+    otherwise.
     """
-    mat = _as_matrix(R)
-    d = _strand_dim(mat)
+    R, d = _two_strand(R)
     require_ybe_window(d)
-    induced = check_ybe(mat[_factor_swap_order(d)], tol)
+    order = _factor_swap_order(d)
+    entries = monomial_entries(R)
+    if entries is not None:
+        swapped = OperatorMatrix.monomial((d, d), entries[0][order], entries[1][order])
+    else:
+        swapped = _dense(R)[order]
+    induced = check_ybe(swapped, tol)
     return QuasitriangularResult(residual=induced.residual, passed=induced.passed, induced_ybe=induced)

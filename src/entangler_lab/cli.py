@@ -18,6 +18,7 @@ error, 2 schema or validation error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -42,7 +43,7 @@ from .entangler import (
     phase_swap_decomposition,
 )
 from .oracle import OracleVerdict, oracle_classify, verdicts_agree
-from .state_core import DEFAULT_TOL, PureState, uniform_input
+from .state_core import DEFAULT_TOL, OperatorMatrix, PureState, monomial_entries, uniform_input
 
 SCHEMA_VERSION = 1
 TOL_ENV_VAR = "ENTANGLER_LAB_TOL"
@@ -113,7 +114,29 @@ def _load_json(path: str):
             raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
 
 
-def _complex_vector(entries, name: str, expected: int) -> np.ndarray:
+# a size with more digits than this is named by its shape ("2^20000"): it is
+# past Python's default limit for int -> str, and no JSON list is that long
+_SPELLED_OUT_DIGITS = 4300
+
+
+def _expected_entries(factors, shape: str) -> int | str:
+    """The product of `factors`, or `shape` if it has too many digits to spell out.
+
+    The product is formed one factor at a time and abandoned once it passes
+    that size, so a shape like 2^300000000 costs a few thousand
+    multiplications, not the full power.
+    """
+    limit = 10**_SPELLED_OUT_DIGITS
+    size = 1
+    for n in factors:
+        size *= n
+        if size >= limit:
+            return shape
+    return size
+
+
+def _complex_vector(entries, name: str, expected: int | str) -> np.ndarray:
+    """Parse [re, im] pairs; `expected` is their count, or the shape of a count no list reaches."""
     if not isinstance(entries, list):
         raise SchemaError(f"{name}: expected a list of [re, im] pairs")
     if len(entries) != expected:
@@ -145,10 +168,11 @@ def _parse_state_file(doc, path: str) -> tuple[PureState, str | None]:
     label = doc.get("label")
     if label is not None and not isinstance(label, str):
         raise SchemaError("label: expected a string")
-    expected = math.prod(dims)
-    amps = _complex_vector(
-        doc.get("amplitudes"), f"amplitudes (for dims {dims})", expected
-    )
+    runs = [(n, len(list(run))) for n, run in itertools.groupby(dims)]
+    shape = " x ".join(f"{n}^{k}" if k > 1 else str(n) for n, k in runs)
+    expected = _expected_entries(dims, shape)
+    name = f"amplitudes (for dims {dims})" if isinstance(expected, int) else "amplitudes"
+    amps = _complex_vector(doc.get("amplitudes"), name, expected)
     return PureState(tuple(dims), amps), label
 
 
@@ -161,7 +185,8 @@ def _parse_entangler_file(doc, path: str) -> EntanglerSpec:
         raise SchemaError("m: expected an integer >= 2")
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise SchemaError("N: expected an integer >= 2")
-    alpha = _complex_vector(doc.get("alpha"), f"alpha (for N^m = {n}^{m})", n**m)
+    expected = _expected_entries(itertools.repeat(n, m), f"{n}^{m}")
+    alpha = _complex_vector(doc.get("alpha"), f"alpha (for N^m = {n}^{m})", expected)
     return EntanglerSpec(m, n, alpha)
 
 
@@ -352,13 +377,16 @@ def _cmd_entangler(args, out) -> int:
 def _cmd_braid(args, out) -> int:
     mat = _parse_matrix_file(_load_json(args.r_file), args.r_file)
     tol = _resolve_tol(args.tol)
+    # scanned once: a monomial matrix goes to every check as its (cols, values) pair
+    entries = monomial_entries(mat)
+    r = mat if entries is None else OperatorMatrix.monomial((len(mat),), *entries)
     try:
-        rep = StrandRep(args.strands, mat)
-        ybe = check_ybe(mat, tol)
+        rep = StrandRep(args.strands, r)
+        ybe = check_ybe(r, tol)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
     relations = check_braid_relations(rep, tol, ybe)
-    quasi = check_quasitriangular(mat, tol)
+    quasi = check_quasitriangular(r, tol)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "braid",

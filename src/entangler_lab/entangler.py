@@ -10,8 +10,10 @@ alpha[s(q)] for the corner-fixing interior reversal s (an involution), so
 R = phase gate x swap gate with P = I[s].  P @ R is diagonal with the alphas
 in ascending multi-index order, R @ P is diagonal with the interior order
 reversed.  The functions here read that structure off (s, alpha) instead of
-multiplying d x d matrices: applying the gate is an O(d) gather, and the
-unitarity check reads R R^dagger = diag(|alpha|^2) off the nonzeros of R.
+multiplying d x d matrices: `build_r` returns the gate as the monomial
+`OperatorMatrix` (s, alpha[s]) in O(d), applying the gate is an O(d) gather,
+and the unitarity check reads R R^dagger = diag(|alpha|^2) off that pair.  No
+d x d matrix is formed unless a caller reads the gate's `.mat`.
 
 Applied to the uniform product input (|1>+...+|N>)^(x m), the gate writes
 alpha values directly into the output amplitudes, which is what makes the
@@ -113,13 +115,16 @@ def _reversal(dim: int) -> np.ndarray:
 
 
 def build_r(spec: EntanglerSpec) -> OperatorMatrix:
-    """Materialize the gate: row q holds alpha[s(q)] in column s(q)."""
-    d = spec.dim
-    s = _reversal(d)
-    mat = np.zeros((d, d), dtype=complex)
-    mat[np.arange(d), s] = spec.alpha[s]
-    mat.setflags(write=False)  # read-only and owning its data: adopted without a copy
-    return OperatorMatrix((spec.N,) * spec.m, mat)
+    """The gate as a monomial `OperatorMatrix`: row q holds alpha[s(q)] in column s(q).
+
+    O(d): only the pair (s, alpha[s]) is stored.  The checks read that pair,
+    and the dense d x d matrix is built only if a caller reads `.mat`.
+    """
+    s = _reversal(spec.dim)
+    values = spec.alpha[s]
+    s.setflags(write=False)  # both read-only and owning their data: adopted without a copy
+    values.setflags(write=False)
+    return OperatorMatrix.monomial((spec.N,) * spec.m, s, values)
 
 
 def check_unitary(op: OperatorMatrix | np.ndarray, tol: float = DEFAULT_TOL) -> UnitarityCheck:
@@ -128,18 +133,23 @@ def check_unitary(op: OperatorMatrix | np.ndarray, tol: float = DEFAULT_TOL) -> 
     The deviation is read off the nonzeros when R is monomial (one nonzero
     per row and per column, as for every gate `build_r` makes): R R^dagger is
     then diag(|v|^2) for the row values v, so the deviation is
-    max | |v|^2 - 1 |, with no d x d temporary.  It can differ from the dense
-    product at the rounding level.  Any other square matrix, and a monomial
-    one with a non-finite entry, gets the dense max |R R^dagger - I|.
+    max | |v|^2 - 1 |.  A monomial `OperatorMatrix` hands over its stored
+    values, so the check is O(d) with no d x d array; a dense monomial
+    matrix is scanned once for them, and gives the same bits.  The result
+    can differ from the dense product at the rounding level.  Any other
+    square matrix, and a monomial one with a non-finite entry, gets the
+    dense max |R R^dagger - I|.
     """
-    mat = op.mat if isinstance(op, OperatorMatrix) else np.asarray(op, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    entries = monomial_entries(mat)
+    if not isinstance(op, OperatorMatrix):
+        op = np.asarray(op, dtype=complex)
+        if op.ndim != 2 or op.shape[0] != op.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {op.shape}")
+    entries = monomial_entries(op)
     if entries is not None:
         v = entries[1]
         deviation = float(np.max(np.abs(v.real**2 + v.imag**2 - 1)))
     else:
+        mat = op.mat if isinstance(op, OperatorMatrix) else op
         deviation = float(np.max(np.abs(mat @ mat.conj().T - np.eye(mat.shape[0]))))
     return UnitarityCheck(passed=deviation <= tol, max_deviation=deviation)
 

@@ -10,6 +10,7 @@ is homogeneous in the amplitudes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -80,50 +81,113 @@ class PureState:
         return PureState(self.dims, self.amps / math.sqrt(n2))
 
 
-@dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Dense complex square matrix tagged with the subsystem dimensions it acts on.
+    """Complex square matrix tagged with the subsystem dimensions it acts on.
 
-    The stored matrix is read-only.  A complex128 ndarray that owns its data
-    and is already read-only is adopted as it is, without a copy (this is how
-    `build_r` hands over the gate it has just filled); every other input,
-    including a caller's writable array, is copied, so later writes to the
-    caller's array do not reach `mat`.
+    One class, two forms, both read-only and compared by identity:
+
+    * dense, `OperatorMatrix(dims, mat)`: the matrix is stored.  A
+      complex128 ndarray that owns its data and is already read-only is
+      adopted as it is, without a copy; every other input, including a
+      caller's writable array, is copied, so later writes to the caller's
+      array do not reach `mat`.
+    * monomial, `OperatorMatrix.monomial(dims, cols, values)`: one entry
+      per row and per column, stored as the pair with values[q] at
+      (q, cols[q]) under the same adoption rule (this is how `build_r` hands
+      over a gate, in O(d)).  `monomial_entries` returns the stored pair
+      itself, never a copy, so the checks that read it allocate nothing d x d.
+      The dense `mat` is built on its first read, and that same read-only
+      array is returned on every later read.
     """
 
-    dims: tuple[int, ...]
-    mat: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
-        mat = self.mat
-        adoptable = (
-            isinstance(mat, np.ndarray)
-            and mat.dtype == np.complex128
-            and mat.flags.owndata
-            and not mat.flags.writeable
-        )
-        if not adoptable:
-            mat = np.array(mat, dtype=complex)
-        d = math.prod(self.dims)
+    def __init__(self, dims: Sequence[int], mat: np.ndarray):
+        dims = tuple(int(n) for n in dims)
+        mat = _adopt_readonly(mat, complex)
+        d = math.prod(dims)
         if mat.shape != (d, d):
-            raise ValueError(f"expected a {d}x{d} matrix for dims {list(self.dims)}, got {mat.shape}")
-        mat.setflags(write=False)
-        object.__setattr__(self, "mat", mat)
+            raise ValueError(f"expected a {d}x{d} matrix for dims {list(dims)}, got {mat.shape}")
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "_entries", None)
+        object.__setattr__(self, "mat", mat)  # shadows the lazy `mat` below
+
+    @classmethod
+    def monomial(cls, dims: Sequence[int], cols, values) -> "OperatorMatrix":
+        """The matrix with values[q] at (q, cols[q]), cols a permutation of 0..d-1."""
+        dims = tuple(int(n) for n in dims)
+        cols = _adopt_readonly(cols, np.intp)
+        values = _adopt_readonly(values, complex)
+        d = math.prod(dims)
+        if cols.shape != (d,) or values.shape != (d,):
+            raise ValueError(
+                f"expected {d} columns and values for dims {list(dims)}, got {cols.shape} and {values.shape}"
+            )
+        in_range = np.all((cols >= 0) & (cols < d))  # bincount refuses negative entries
+        if not (in_range and np.all(np.bincount(cols, minlength=d) == 1)):
+            raise ValueError("cols must be a permutation of 0..d-1 (one entry per column)")
+        op = cls.__new__(cls)
+        object.__setattr__(op, "dims", dims)
+        object.__setattr__(op, "_entries", (cols, values))
+        return op
+
+    @functools.cached_property
+    def mat(self) -> np.ndarray:
+        """The dense matrix; a monomial operator builds it here, once."""
+        return _monomial_matrix(*self._entries)
 
     @property
     def dim(self) -> int:
         return math.prod(self.dims)
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"OperatorMatrix is read-only: cannot assign {name!r}")
 
-def monomial_entries(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The column and the value of each row's nonzero, if `mat` is monomial.
+    def __delattr__(self, name):
+        raise AttributeError(f"OperatorMatrix is read-only: cannot delete {name!r}")
+
+    def __repr__(self) -> str:
+        form = "dense" if self._entries is None else "monomial"
+        return f"OperatorMatrix(dims={self.dims}, {form})"
+
+
+def _adopt_readonly(arr, dtype) -> np.ndarray:
+    """`arr` itself if it is a `dtype` ndarray owning its data and read-only, else a read-only copy."""
+    adoptable = (
+        isinstance(arr, np.ndarray)
+        and arr.dtype == dtype
+        and arr.flags.owndata
+        and not arr.flags.writeable
+    )
+    if not adoptable:
+        arr = np.array(arr, dtype=dtype)
+        arr.setflags(write=False)
+    return arr
+
+
+def _monomial_matrix(cols: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The dense read-only matrix with values[q] at (q, cols[q]) and zeros elsewhere."""
+    d = len(cols)
+    mat = np.zeros((d, d), dtype=complex)
+    mat[np.arange(d), cols] = values
+    mat.setflags(write=False)
+    return mat
+
+
+def monomial_entries(op: OperatorMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The column and the value of each row's nonzero, if the matrix is monomial.
 
     Monomial means every row and every column holds exactly one nonzero, and
-    all of them are finite; any other square matrix gives None.
+    all of them are finite; any other square matrix gives None.  A monomial
+    `OperatorMatrix` answers from its stored pair in O(d) and returns that
+    pair, or None if a stored value is zero or non-finite, as the scan of its
+    `mat` would; a dense one, or an array, is scanned in O(d^2).
     """
-    d = mat.shape[0]
-    nonzero = mat != 0
+    if isinstance(op, OperatorMatrix):
+        if op._entries is not None:
+            values = op._entries[1]
+            return op._entries if np.all(np.isfinite(values) & (values != 0)) else None
+        op = op.mat
+    d = op.shape[0]
+    nonzero = op != 0
     if np.count_nonzero(nonzero) != d:
         return None
     rows = np.arange(d)
@@ -131,7 +195,7 @@ def monomial_entries(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     # d nonzeros, at least one in every row, each column hit once
     if not (nonzero[rows, cols].all() and np.all(np.bincount(cols, minlength=d) == 1)):
         return None
-    values = mat[rows, cols]
+    values = op[rows, cols]
     return (cols, values) if np.all(np.isfinite(values)) else None
 
 

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import time
 from importlib.resources import files
 from pathlib import Path
 
@@ -8,8 +12,16 @@ import pytest
 
 import entangler_lab.braid as braid_module
 import entangler_lab.cli as cli_module
+import entangler_lab.state_core as state_core_module
 from entangler_lab.braid import check_ybe, factor_swap
 from entangler_lab.cli import EXIT_IO, EXIT_OK, EXIT_SCHEMA, format_float, main, render_json
+from entangler_lab.entangler import EntanglerSpec, build_r
+from entangler_lab.state_core import monomial_entries
+
+try:
+    import resource
+except ImportError:  # not a POSIX system
+    resource = None
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -232,6 +244,89 @@ def test_entangler_human_readable(capsys):
     assert "COEFFICIENTS" in out and "OUTPUT" in out
 
 
+def test_sizes_that_print_keep_the_spelled_out_count(tmp_path, capsys):
+    cases = [
+        ({"dims": [2, 2, 3], "amplitudes": [[1, 0]] * 7}, "amplitudes (for dims [2, 2, 3]): expected 12 entries, got 7"),
+        ({"m": 4299, "N": 10, "alpha": []}, f"alpha (for N^m = 10^4299): expected 1{'0' * 4299} entries, got 0"),
+    ]
+    for doc, message in cases:
+        command = "classify" if "dims" in doc else "entangler"
+        code, out, err = run(capsys, command, write_json(tmp_path, "short.json", doc))
+        assert code == EXIT_SCHEMA and out == ""
+        assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"m": 20000, "N": 2, "alpha": []}, "alpha (for N^m = 2^20000): expected 2^20000 entries, got 0"),
+        ({"m": 300000000, "N": 2, "alpha": []}, "alpha (for N^m = 2^300000000): expected 2^300000000 entries, got 0"),
+        ({"m": 4300, "N": 10, "alpha": []}, "alpha (for N^m = 10^4300): expected 10^4300 entries, got 0"),
+        ({"dims": [2] * 20000, "amplitudes": []}, "amplitudes: expected 2^20000 entries, got 0"),
+        (
+            {"dims": [3] + [2] * 20000 + [5, 5], "amplitudes": [[1, 0]]},
+            "amplitudes: expected 3 x 2^20000 x 5^2 entries, got 1",
+        ),
+    ],
+    ids=["2^20000", "2^300000000", "10^4300", "dims 2^20000", "mixed dims"],
+)
+def test_sizes_too_long_to_print_are_named_by_their_shape(tmp_path, capsys, doc, message):
+    command = "classify" if "dims" in doc else "entangler"
+    path = write_json(tmp_path, "huge.json", doc)
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, path)
+    assert time.perf_counter() - start < 1.0  # the full power is never formed
+    assert code == EXIT_SCHEMA and out == ""
+    assert err == f"error: {message}\n"
+
+
+def unimodular_gate_doc(N, seed):
+    alpha = np.exp(1j * np.random.default_rng(seed).uniform(0, 2 * np.pi, N * N))
+    return {"m": 2, "N": N, "alpha": [[float(z.real), float(z.imag)] for z in alpha]}
+
+
+def test_entangler_checks_build_no_dense_gate(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense gate built")
+
+    monkeypatch.setattr(state_core_module, "_monomial_matrix", refuse)
+    path = write_json(tmp_path, "gate16.json", unimodular_gate_doc(16, 16))
+    code, out, err = run(
+        capsys, "entangler", path, "--check-unitary", "--check-ybe", "--apply-uniform", "--json"
+    )
+    assert code == EXIT_OK and err == ""
+    doc = json.loads(out)
+    assert doc["unitarity"]["passed"] is True
+    assert doc["ybe"]["residual"] >= 1 - 1e-12  # no unimodular N >= 3 gate solves it
+    assert len(doc["uniform_output"]["amplitudes"]) == 256
+
+
+@pytest.mark.skipif(resource is None, reason="needs POSIX address-space limits")
+def test_entangler_check_unitary_runs_in_a_one_gigabyte_address_space(tmp_path):
+    # m=2, N=128: d = 16384, so a dense gate alone would take 4 GiB
+    path = write_json(tmp_path, "gate128.json", unimodular_gate_doc(128, 128))
+    limit = 1 << 30
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(cli_module.__file__).parents[1])
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "entangler_lab.cli", "entangler", path, "--check-unitary", "--apply-uniform", "--json"],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=cap_address_space,
+        timeout=60,
+    )
+    assert result.returncode == EXIT_OK and result.stderr == ""
+    doc = json.loads(result.stdout)
+    assert doc["unitarity"]["passed"] is True
+    assert len(doc["uniform_output"]["amplitudes"]) == 128 * 128
+
+
 # ---------------------------------------------------------------------------
 # braid
 
@@ -349,3 +444,26 @@ def test_braid_ragged_matrix(tmp_path, capsys):
     code, _, err = run(capsys, "braid", "--r-file", path, "--strands", "3")
     assert code == EXIT_SCHEMA
     assert "row 2" in err
+
+
+def test_braid_scans_a_monomial_matrix_once(tmp_path, monkeypatch, capsys):
+    alpha = np.exp(1j * np.random.default_rng(9).uniform(0, 2 * np.pi, 9))
+    mat = build_r(EntanglerSpec(2, 3, alpha)).mat
+    path = write_json(tmp_path, "gate3.json", [[[float(z.real), float(z.imag)] for z in row] for row in mat])
+    scans = []
+
+    def counting(op):
+        if isinstance(op, np.ndarray):
+            scans.append(op.shape)
+        return monomial_entries(op)
+
+    argv = ("braid", "--r-file", path, "--strands", "4", "--json")
+    monkeypatch.setattr(braid_module, "monomial_entries", counting)
+    monkeypatch.setattr(cli_module, "monomial_entries", lambda op: None)
+    code, per_check, _ = run(capsys, *argv)  # the checks get the array and each scans it
+    assert code == EXIT_OK and scans == [(9, 9)] * 3
+    scans.clear()
+    monkeypatch.setattr(cli_module, "monomial_entries", counting)
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK and scans == [(9, 9)]
+    assert out == per_check

@@ -3,10 +3,18 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import entangler_lab.entangler as entangler_module
+import entangler_lab.state_core as state_core_module
+from entangler_lab.braid import (
+    MAX_TOTAL_DIM,
+    StrandRep,
+    check_braid_relations,
+    check_quasitriangular,
+    check_ybe,
+)
 from entangler_lab.class_operators import ClassKind
 from entangler_lab.concurrence import Verdict, ghz_expansion_3q
 from entangler_lab.entangler import (
@@ -289,6 +297,80 @@ def test_build_r_holds_one_dense_gate():
     finally:
         tracemalloc.stop()
     assert peak < 1.2 * 16 * r.dim**2  # the gate itself and no second copy
+
+
+# ---------------------------------------------------------------------------
+# build_r's monomial OperatorMatrix: the checks read (s, alpha[s]), and the
+# dense matrix is built only when `.mat` is read
+
+
+# these tests draw from their own generator and leave the shared `rng` stream
+# to the tests after them
+own_rng = np.random.default_rng(1717)
+
+
+def own_unimodular_spec(m, N):
+    return EntanglerSpec(m, N, np.exp(1j * own_rng.uniform(0, 2 * np.pi, N**m)))
+
+
+def test_build_r_mat_is_the_scattered_gate_read_only_and_built_once():
+    for m, N in [(2, 2), (3, 2), (2, 5), (4, 3), (2, 32)]:
+        spec = EntanglerSpec(m, N, drawn_vector(own_rng, N**m, 0.0))
+        r = build_r(spec)
+        assert r.dims == (N,) * m and r.dim == N**m
+        mat = r.mat
+        s = entangler_module._reversal(spec.dim)
+        assert np.array_equal(mat, monomial(s, spec.alpha[s])) and mat.dtype == complex  # zeros + scatter
+        assert not mat.flags.writeable
+        assert r.mat is mat
+
+
+def two_strand_checks(n):
+    def relations(r):
+        return check_braid_relations(StrandRep(n, r))
+
+    return (check_ybe, check_quasitriangular, relations)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5), st.integers(2, 16), seeds, st.booleans())
+def test_gate_checks_give_the_same_bits_on_the_pair_and_on_mat(m, N, seed, unimodular):
+    assume(N**m <= 4096)
+    g = np.random.default_rng(seed)
+    values = np.exp(1j * g.uniform(0, 2 * np.pi, N**m))
+    if not unimodular:
+        values *= 10.0 ** g.uniform(-3, 3, N**m)  # moduli 1e-3 .. 1e3
+    spec = EntanglerSpec(m, N, values)
+    op, mat = build_r(spec), build_r(spec).mat
+    # repr spells every float out exactly, so equal reprs are equal bits
+    assert repr(check_unitary(op)) == repr(check_unitary(mat))
+    if m == 2:
+        n = max(n for n in range(2, 13) if N**n <= MAX_TOTAL_DIM)
+        for check in two_strand_checks(n):
+            assert repr(check(op)) == repr(check(mat))
+
+
+def refuse_dense_gate(*args, **kwargs):
+    raise AssertionError("dense gate built")
+
+
+def test_gate_checks_never_build_the_dense_gate(monkeypatch):
+    monkeypatch.setattr(state_core_module, "_monomial_matrix", refuse_dense_gate)
+    for m, N in [(2, 32), (5, 4), (10, 2)]:  # d = 1024
+        spec = own_unimodular_spec(m, N)
+        assert check_unitary(build_r(spec)).passed
+        proposition_check(spec, ClassKind.GHZ)
+    r = build_r(own_unimodular_spec(2, 32))
+    assert check_braid_relations(StrandRep(2, r)).passed
+    with pytest.raises(ValueError, match="32\\^3 exceeds"):  # refused before any allocation
+        check_ybe(r)
+    for N in (2, 3, 16):  # up to the largest window the cap allows
+        r = build_r(own_unimodular_spec(2, N))
+        n = max(n for n in range(2, 13) if N**n <= MAX_TOTAL_DIM)
+        for check in two_strand_checks(n):
+            check(r)
+    with pytest.raises(AssertionError, match="dense gate built"):
+        build_r(own_unimodular_spec(2, 2)).mat
 
 
 def test_gate_analysis_builds_no_dense_gate(monkeypatch):

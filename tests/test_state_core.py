@@ -13,6 +13,7 @@ from entangler_lab.state_core import (
     flatten,
     ghz_state,
     kron_all,
+    monomial_entries,
     product_state,
     unflatten,
     uniform_input,
@@ -175,6 +176,64 @@ def test_operator_matrix_adopts_only_an_owned_read_only_complex_array():
         other.setflags(write=False)
         op = OperatorMatrix((2, 2), other)
         assert op.mat is not other and op.mat.dtype == complex
+
+
+def test_monomial_operator_matrix_hands_out_its_stored_pair():
+    cols = np.array([2, 0, 1, 3])
+    values = np.array([1, 2j, -1, 0.5])
+    op = OperatorMatrix.monomial((2, 2), cols, values)
+    entries = monomial_entries(op)
+    assert monomial_entries(op) is entries  # the stored pair, never a copy
+    assert np.array_equal(entries[0], cols) and np.array_equal(entries[1], values)
+    assert not entries[0].flags.writeable and not entries[1].flags.writeable
+    cols[0], values[0] = 3, 7  # the caller's writable arrays were copied
+    assert entries[0][0] == 2 and entries[1][0] == 1
+    assert op.dims == (2, 2) and op.dim == 4
+    with pytest.raises(AttributeError):
+        op.dims = (4,)
+
+
+def test_monomial_operator_matrix_adopts_owned_read_only_arrays():
+    cols = np.array([1, 0], dtype=np.intp)
+    values = np.array([1j, 1], dtype=complex)
+    cols.setflags(write=False)
+    values.setflags(write=False)
+    stored_cols, stored_values = monomial_entries(OperatorMatrix.monomial((2,), cols, values))
+    assert stored_cols is cols and stored_values is values
+
+
+def test_monomial_operator_matrix_builds_its_dense_matrix_once():
+    op = OperatorMatrix.monomial((3,), [2, 0, 1], [1j, 2, -3])
+    mat = op.mat
+    expected = np.zeros((3, 3), dtype=complex)
+    expected[[0, 1, 2], [2, 0, 1]] = [1j, 2, -3]
+    assert np.array_equal(mat, expected) and mat.dtype == complex
+    assert not mat.flags.writeable
+    assert op.mat is mat
+    cols, values = monomial_entries(mat)  # the O(d^2) scan finds the same pair
+    assert np.array_equal(cols, [2, 0, 1]) and np.array_equal(values, [1j, 2, -3])
+
+
+def test_monomial_operator_matrix_validation():
+    with pytest.raises(ValueError, match="4 columns and values"):
+        OperatorMatrix.monomial((2, 2), [0, 1, 2], [1, 1, 1])
+    for cols in ([0, 1, 1, 3], [0, 1, 2, 4], [-1, 0, 1, 2]):
+        with pytest.raises(ValueError, match="permutation"):
+            OperatorMatrix.monomial((2, 2), cols, [1, 1, 1, 1])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_monomial_entries_agree_on_both_forms():
+    cols = [3, 1, 0, 2]
+    for values in ([1, 2j, 3, 4], [1, 0, 3, 4], [1, np.inf, 3, 4], [1, np.nan, 3, 4]):
+        op = OperatorMatrix.monomial((4,), cols, values)
+        stored, scanned = monomial_entries(op), monomial_entries(op.mat)
+        if np.all(np.isfinite(values)) and np.all(np.array(values) != 0):
+            assert np.array_equal(stored[0], scanned[0]) and np.array_equal(stored[1], scanned[1])
+        else:  # a zero or a non-finite value: not monomial in either form
+            assert stored is None and scanned is None
+    dense = OperatorMatrix((2, 2), np.eye(4)[cols])
+    assert np.array_equal(monomial_entries(dense)[0], cols)
 
 
 def test_canonical_states():
