@@ -251,10 +251,19 @@ def _oracle_dict(verdict: OracleVerdict) -> dict:
 
 def _state_analysis(state: PureState, tol: float, label: str | None) -> dict:
     report = classify(state, tol, label=label)
+    # classify and the oracle rescale out-of-range states; only the reported
+    # float64 numbers can overflow, and JSON has no inf
+    with np.errstate(over="ignore"):
+        norm2 = state.norm2
+    if not (math.isfinite(norm2) and all(math.isfinite(v.magnitude) for v in report.values)):
+        raise SchemaError(
+            f"{label or 'state'}: sum |a|^2 and every condition value must stay below 1.8e308 "
+            "(the float64 range); scale the amplitudes down"
+        )
     doc = {
         "label": label,
         "dims": list(state.dims),
-        "norm_squared": state.norm2,
+        "norm_squared": norm2,
         "conditions": _conditions_list(report),
         "verdict": report.verdict.value,
     }

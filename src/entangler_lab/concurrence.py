@@ -17,11 +17,19 @@ product of N x N blocks, so it applies each block along one axis of the
 amplitude tensor (an n-mode product) and gets all 2*C(m,2) values of an
 m-party state of dimension d from 4m mode products and two m x m Gram-type
 products: O(m*d*N + m^2*d) time and O(m*d) memory, with no operator cache.
-`bilinear_condition` with the dense `class_operator` is the reference route
-the tests compare it against.
+For an all-qubit state every block is a signed permutation or a diagonal
+with entries +-i and -1, so the same vectors come from one gather, one
+reversal and +-i scalings, a fixed number of numpy calls whatever m is
+(`_qubit_conditions`); every other shape keeps the mode products
+(`_mode_product_conditions`), the tests' reference for the qubit path.  The
+two agree as numbers; the sign of a value that is exactly zero may differ
+and is not part of the contract.  `bilinear_condition` with the dense
+`class_operator` is the reference route the tests compare both against.
 
 Every condition value is homogeneous of degree 2 in the amplitudes, so
-verdicts use the scale-free ratio |value| / norm^2 against a tolerance.
+verdicts use the scale-free ratio |value| / norm^2 against a tolerance; a
+state outside the float range's working window is evaluated at its exact
+power-of-two rescaling (`PureState.scaled_amplitudes`).
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -184,16 +192,16 @@ def _blocks(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return pair, flip, x
 
 
-def _condition_matrices(state: PureState) -> tuple[np.ndarray, np.ndarray]:
+def _mode_product_conditions(dims: tuple[int, ...], a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """m x m matrices whose (r, s) entries, r < s, are the EPR and GHZ values of pair (r+1, s+1).
 
-    EPR: with b_r = T(pi/2) applied along axis r, the value is
+    The kernel for any dims, from 4m mode products.  EPR: with
+    b_r = T(pi/2) applied along axis r, the value is
     a^T T_r T_s a = (T_r^T a)^T (T_s a) = -b_r . b_s, since T(pi/2) is
     antisymmetric.  GHZ: T(pi) X = T(pi/2), so the operator is P X_r X_s
     with P = (x) T(pi) over all axes, and with c = P a (P is symmetric) the
     value is (X_r^T c) . (X_s a).  Both dot products are unconjugated.
     """
-    dims, a = state.dims, state.amps
     b, y, z = [], [], []
     # Axis r of the amplitude tensor as the middle axis of a 3-d view, so
     # that a matmul with an N x N block is the mode product along axis r.
@@ -210,27 +218,79 @@ def _condition_matrices(state: PureState) -> tuple[np.ndarray, np.ndarray]:
     return -(b @ b.T), y @ z.T
 
 
+def _qubit_conditions(m: int, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The matrices of `_mode_product_conditions` for dims (2,)*m, from a fixed number of numpy calls.
+
+    For N = 2 every block is a signed permutation or a diagonal:
+    T(pi/2) = [[0, i], [-i, 0]] swaps digit r and multiplies by
+    phi = +-i (+i where digit r is 0), X = diag(i, -i) multiplies by the
+    same phi, and (x) T(pi) = (x) (-sigma_x) reverses every digit with
+    sign (-1)^m.  So b_r = phi_r * a[idx ^ bit_r], z_r = phi_r * a,
+    c = (-1)^m a[::-1] and y_r = phi_r * c.  A product with +-i or -1 is
+    exact, so b, y and z equal the mode products' up to the sign of an
+    exact zero, and so do the two Gram products of the same arrays.
+    """
+    idx = np.arange(a.size)
+    bits = (1 << np.arange(m - 1, -1, -1))[:, None]  # digit r's bit, subsystem 1 most significant
+    phi = np.where(idx & bits, -1j, 1j)
+    b = a[idx ^ bits]
+    b *= phi
+    epr = -(b @ b.T)
+    del b  # freed before y and z exist, so at most three (m, d) arrays are live
+    c = -a[::-1] if m % 2 else a[::-1]
+    return epr, (phi * c) @ (phi * a).T
+
+
+def _condition_matrices(dims: tuple[int, ...], a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """m x m matrices whose (r, s) entries, r < s, are the EPR and GHZ values of pair (r+1, s+1).
+
+    All-qubit dims take `_qubit_conditions`, from a fixed number of numpy
+    calls; every other shape takes `_mode_product_conditions`.  On qubits
+    the two agree as numbers: only the sign of a value that is exactly zero
+    may differ, and that sign is not part of the contract.
+    """
+    if all(n == 2 for n in dims):
+        return _qubit_conditions(len(dims), a)
+    return _mode_product_conditions(dims, a)
+
+
+def _unscaled(v: ConditionValue, k: int) -> ConditionValue:
+    """`v` with value and magnitude times 2**k: inf past the float range, 0 below it."""
+    with np.errstate(over="ignore"):
+        re, im, magnitude = np.ldexp([v.value.real, v.value.imag, v.magnitude], k).tolist()
+    return replace(v, value=complex(re, im), magnitude=magnitude)
+
+
 def classify(state: PureState, tol: float = DEFAULT_TOL, label: str | None = None) -> ConditionReport:
     """Evaluate all EPR and GHZ conditions and summarize which families fire.
 
     A condition fires when |value| / norm^2 > tol.  A fired condition
     certifies that the state is not fully product; the converse does not
     hold, so the verdict reports which families fire rather than forcing a
-    single class.  Raises ValueError for the zero vector and for a `tol`
-    that is not a positive finite number.
+    single class.  All-qubit states take the qubit kernel, every other shape
+    the mode products (see `_condition_matrices`); the sign of a value that
+    is exactly zero is not part of the contract.  A state whose squared norm
+    is outside the working window of `PureState.scaled_amplitudes` (0,
+    subnormal or overflowing included) is evaluated at its power-of-two
+    rescaling: its verdict and normalized magnitudes are those of the state
+    in range, and `value` and `magnitude` are its own, rounded to float64
+    (inf past the float range, 0 below it).  Raises ValueError for the zero
+    vector and for a `tol` that is not a positive finite number.
     """
     require_tol(tol)
-    norm2 = state.norm2
+    amps, norm2, shift = state.scaled_amplitudes()
     if norm2 == 0.0:
         raise ValueError("cannot classify the zero vector")
     values = []
     if state.m > 1:  # a single subsystem has no pairs
-        for kind, matrix in zip((ClassKind.EPR, ClassKind.GHZ), _condition_matrices(state)):
+        for kind, matrix in zip((ClassKind.EPR, ClassKind.GHZ), _condition_matrices(state.dims, amps)):
             rows = matrix.tolist()
             for r, s in itertools.combinations(range(state.m), 2):
                 value = rows[r][s]
                 magnitude = abs(value)
                 values.append(ConditionValue(kind, (r + 1, s + 1), value, magnitude, magnitude / norm2))
+    if shift:
+        values = [_unscaled(v, 2 * shift) for v in values]
     epr_fired = any(v.fires(tol) for v in values if v.kind is ClassKind.EPR)
     ghz_fired = any(v.fires(tol) for v in values if v.kind is ClassKind.GHZ)
     if epr_fired and ghz_fired:

@@ -112,7 +112,8 @@ def partial_trace(state: PureState, keep: Sequence[int]) -> DensityMatrix:
     """Reduced density matrix of the kept subsystems (1-based), normalized.
 
     Traces |psi><psi| / norm^2 over everything outside `keep`; the kept
-    subsystems appear in the order given.
+    subsystems appear in the order given.  The amplitudes go through
+    `PureState.scaled_amplitudes`, so no finite nonzero state overflows.
     """
     keep = tuple(int(k) for k in keep)
     if len(keep) == 0:
@@ -122,12 +123,12 @@ def partial_trace(state: PureState, keep: Sequence[int]) -> DensityMatrix:
     for k in keep:
         if not 1 <= k <= state.m:
             raise ValueError(f"subsystem {k} outside 1..{state.m}")
-    n2 = state.norm2
+    amps, n2, _ = state.scaled_amplitudes()
     if n2 == 0.0:
         raise ValueError("cannot reduce the zero vector")
     keep0 = [k - 1 for k in keep]
     rest0 = [i for i in range(state.m) if i not in keep0]
-    tensor = state.amps.reshape(state.dims)
+    tensor = amps.reshape(state.dims)
     tensor = np.transpose(tensor, keep0 + rest0)
     d_keep = math.prod(state.dims[i] for i in keep0)
     block = tensor.reshape(d_keep, -1)
@@ -184,14 +185,15 @@ def three_tangle(state: PureState) -> float:
 
     Degree-4 polynomial in the (internally normalized) amplitudes; nonzero
     exactly on the GHZ class, zero on W-class, biseparable, and product
-    states, and invariant under local unitaries.
+    states, and invariant under local unitaries.  The amplitudes go through
+    `PureState.scaled_amplitudes` before they are normalized.
     """
     if state.dims != (2, 2, 2):
         raise ValueError(f"three_tangle needs dims [2, 2, 2], got {list(state.dims)}")
-    n2 = state.norm2
+    a, n2, _ = state.scaled_amplitudes()
     if n2 == 0.0:
         raise ValueError("cannot normalize the zero vector")
-    a = state.amps / math.sqrt(n2)
+    a = a / math.sqrt(n2)
 
     def g(i, j, k):  # 0-based qubit digits
         return a[4 * i + 2 * j + k]
@@ -228,14 +230,16 @@ def oracle_classify(state: PureState, tol: float = DEFAULT_TOL) -> OracleVerdict
     qubits; every other entangled shape gets the generic ENTANGLED label.
     Near-degenerate cases resolve in the fixed priority
     PRODUCT > BISEPARABLE > GHZ > W, with the losing candidates recorded in
-    `ties`.  Raises ValueError for the zero vector and for a `tol` that is
-    not a positive finite number.
+    `ties`.  A state whose squared norm lies outside the working range of
+    `PureState.scaled_amplitudes` is reduced at its power-of-two rescaling,
+    so its label is that of the same state in range.  Raises ValueError for
+    the zero vector and for a `tol` that is not a positive finite number.
     """
     require_tol(tol)
-    n2 = state.norm2
+    amps, n2, _ = state.scaled_amplitudes()
     if n2 == 0.0:
         raise ValueError("cannot reduce the zero vector")
-    tensor = state.amps.reshape(state.dims)
+    tensor = amps.reshape(state.dims)
     purities = [0.0] * state.m
     for n in set(state.dims):
         slots = [k for k, n_k in enumerate(state.dims) if n_k == n]

@@ -19,6 +19,9 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 
+# squared norms that `PureState.scaled_amplitudes` leaves unscaled
+_NORM2_WINDOW = (2.0**-511, 2.0**511)
+
 
 def require_tol(tol: float) -> None:
     """Raise ValueError unless `tol` is a positive finite number.
@@ -74,11 +77,38 @@ class PureState:
         """Squared norm sum |a|^2 (states are not required to be normalized)."""
         return float(np.sum(np.abs(self.amps) ** 2))
 
+    def scaled_amplitudes(self) -> tuple[np.ndarray, float, int]:
+        """(amps * 2**-k, its squared norm, k), with k = 0 inside the working range.
+
+        Inside the working range, squared norm in [2**-511, 2**511], the
+        result is `(amps, norm2, 0)` bit for bit.  Outside it (0, subnormal
+        or overflowing included) k is the binary exponent of the largest
+        |re| or |im|, which puts that part in [0.5, 1) and the squared norm
+        in [0.25, 2 * dim].  The window is half the float exponent range, so
+        the products of two amplitudes that degree-2 quantities sum stay
+        normal down to 2**-511 of the squared norm.  A power-of-two scale
+        commutes with rounding, so a ratio of two degree-2 quantities, such
+        as |value| / norm2, comes out bit for bit as for the same state
+        scaled into the window.  The zero vector comes back as
+        `(amps, 0.0, 0)`.  No overflow or underflow is reported.
+        """
+        with np.errstate(over="ignore", under="ignore"):
+            n2 = self.norm2
+            if _NORM2_WINDOW[0] <= n2 <= _NORM2_WINDOW[1]:
+                return self.amps, n2, 0
+            parts = self.amps.view(float)
+            peak = float(np.abs(parts).max())
+            if peak == 0.0:
+                return self.amps, 0.0, 0
+            k = math.frexp(peak)[1]
+            amps = np.ldexp(parts, -k).view(complex)
+            return amps, float(np.sum(np.abs(amps) ** 2)), k
+
     def normalize(self) -> "PureState":
-        n2 = self.norm2
+        amps, n2, _ = self.scaled_amplitudes()
         if n2 == 0.0:
             raise ValueError("cannot normalize the zero vector")
-        return PureState(self.dims, self.amps / math.sqrt(n2))
+        return PureState(self.dims, amps / math.sqrt(n2))
 
 
 class OperatorMatrix:

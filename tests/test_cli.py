@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from importlib.resources import files
 from pathlib import Path
 
@@ -112,6 +113,48 @@ def test_classify_invalid_json(tmp_path, capsys):
     path.write_text("{not json")
     code, _, err = run(capsys, "classify", str(path))
     assert code == EXIT_SCHEMA
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_classify_tiny_amplitudes_keep_the_verdict(tmp_path, capsys):
+    w = json.loads(Path(data_file("w_state.json")).read_text())
+    tiny = dict(w, amplitudes=[[math.ldexp(re, -600), math.ldexp(im, -600)] for re, im in w["amplitudes"]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run(capsys, "classify", write_json(tmp_path, "tiny.json", tiny), "--json")
+        assert run(capsys, "classify", data_file("w_state.json"), "--json")[0] == EXIT_OK
+    reference = json.loads((GOLDEN / "classify_w.json").read_text())
+    assert code == EXIT_OK
+    doc = _strict_json(out)
+    assert doc["verdict"] == reference["verdict"]
+    assert doc["oracle"]["label"] == reference["oracle"]["label"]
+    normalized = [c["normalized_magnitude"] for c in doc["conditions"]]
+    assert normalized == [c["normalized_magnitude"] for c in reference["conditions"]]
+
+
+@pytest.mark.parametrize(
+    "amplitudes",
+    [
+        [[2.0**600, 0.0], [0.0, 0.0], [0.0, 0.0], [2.0**600, 0.0]],  # Bell x 2^600: |a|^2 overflows
+        [[1e160, 0.0]] + [[0.0, 0.0]] * 6 + [[1e160, 0.0]],  # GHZ x 1e160: sum |a|^2 overflows
+    ],
+    ids=["bell", "ghz"],
+)
+def test_classify_overflowing_amplitudes_name_the_range(tmp_path, capsys, amplitudes):
+    dims = [2] * (len(amplitudes).bit_length() - 1)
+    path = write_json(tmp_path, "big.json", {"dims": dims, "amplitudes": amplitudes})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "classify", path, "--json")
+    assert code == EXIT_SCHEMA
+    assert out == ""
+    assert "1.8e308" in err and "scale the amplitudes down" in err
 
 
 def test_classify_bad_dims(tmp_path, capsys):

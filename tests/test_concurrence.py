@@ -1,8 +1,12 @@
+import itertools
 import math
+import tracemalloc
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from entangler_lab import class_operators, concurrence, state_core
@@ -17,6 +21,7 @@ from entangler_lab.concurrence import (
     ghz_expansion_3q,
 )
 from entangler_lab.entangler import EntanglerSpec, EvaluationTarget, proposition_check
+from entangler_lab.oracle import StateClass, oracle_classify
 from entangler_lab.state_core import (
     PureState,
     basis_state,
@@ -421,3 +426,247 @@ def test_gathered_expansions_equal_loop_reference(dims, seed, log_scale):
     for pair in PAIRS:
         assert abs(epr_expansion_3q(state, pair) - _epr_loop(state, pair)) <= GATHER_RTOL * state.norm2
         assert abs(ghz_expansion_3q(state, pair) - _ghz_loop(state, pair)) <= GATHER_RTOL * state.norm2
+
+
+# ---------------------------------------------------------------------------
+# the all-qubit kernel against the mode-product kernel, the dense route and
+# exact values
+
+AMPLITUDE_KINDS = ("random", "sparse", "product", "integer")
+
+
+def drawn_qubit_amps(m, kind, seed, log_scale):
+    g = np.random.default_rng(seed)
+    d = 2**m
+    if kind == "random":
+        a = g.normal(size=d) + 1j * g.normal(size=d)
+    elif kind == "sparse":
+        a = np.zeros(d, dtype=complex)
+        k = int(g.integers(1, 5))
+        a[g.choice(d, k, replace=False)] = g.normal(size=k) + 1j * g.normal(size=k)
+    elif kind == "product":
+        a = product_state([PureState((2,), g.normal(size=2) + 1j * g.normal(size=2)) for _ in range(m)]).amps
+    else:
+        a = (g.integers(-3, 4, d) + 1j * g.integers(-3, 4, d)).astype(complex)
+        a[0] = 4  # never the zero vector
+    return 10.0**log_scale * a
+
+
+qubit_draws = st.tuples(st.integers(2, 12), st.sampled_from(AMPLITUDE_KINDS), seeds, log_scales)
+
+
+@settings(max_examples=80, deadline=None)
+@given(qubit_draws)
+@example((3, "sparse", 0, 0.0))
+@example((12, "integer", 1, 3.0))
+def test_qubit_kernel_equals_mode_products(draw):
+    m, kind, seed, log_scale = draw
+    a = drawn_qubit_amps(m, kind, seed, log_scale)
+    qubit = concurrence._qubit_conditions(m, a)
+    modes = concurrence._mode_product_conditions((2,) * m, a)
+    # == compares numbers: only the sign of an exact zero may differ
+    for fast, reference in zip(qubit, modes):
+        assert np.array_equal(fast, reference)
+    if m <= 6:  # the dense route needs 2 C(m,2) operators of 4^m entries
+        state = PureState((2,) * m, a)
+        for (kind_, (r, s)), value in dense_values(state).items():
+            matrix = qubit[0] if kind_ is ClassKind.EPR else qubit[1]
+            assert abs(matrix[r - 1, s - 1] - value) <= KERNEL_RTOL * state.norm2
+
+
+def test_all_qubit_states_skip_the_mode_product_kernel(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the mode-product kernel ran on an all-qubit state")
+
+    monkeypatch.setattr(concurrence, "_mode_product_conditions", refuse)
+    for m in range(2, 9):
+        assert classify(random_state((2,) * m)).verdict is Verdict.BOTH
+    assert classify(ghz_state(5)).verdict is Verdict.GHZ_CLASS_CONDITIONS
+    assert classify(w_state(7)).verdict is Verdict.W_CLASS_CONDITIONS
+    for m in (2, 3, 4, 5):
+        spec = EntanglerSpec(m, 2, np.exp(1j * rng.uniform(0, 2 * np.pi, 2**m)))
+        for kind in ClassKind:
+            for target in EvaluationTarget:
+                assert proposition_check(spec, kind, target).report.values
+
+
+@pytest.mark.parametrize("dims", [(3, 3, 3), (2, 3), (2, 3, 2)])
+def test_other_shapes_take_the_mode_product_kernel(monkeypatch, dims):
+    calls = []
+    kernel = concurrence._mode_product_conditions
+
+    def spy(*args):
+        calls.append(args[0])
+        return kernel(*args)
+
+    monkeypatch.setattr(concurrence, "_mode_product_conditions", spy)
+    assert classify(random_state(dims)).verdict is Verdict.BOTH
+    assert calls == [dims]
+
+
+def test_classify_memory_at_fourteen_qubits():
+    m = 14
+    d = 2**m
+    state = drawn_state((2,) * m, 14, 0.0)
+    classify(state)
+    tracemalloc.start()
+    try:
+        classify(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the mode-product kernel peaked at 6.07 x (m*d complex), 22.3 MB here
+    assert peak < 4 * 16 * m * d
+
+
+# Exact values: every float is a dyadic rational (Fraction(x) is exact), and
+# for qubits every class-operator entry is 0, +-1 or +-i, so sum_jk a_j a_k M[j,k]
+# is exact over (re, im) Fraction pairs.  Both kernels form b, y, z exactly (a
+# product with +-i or -1 rounds nowhere), so their only rounding is in the
+# unconjugated dot products of d = 2^m entries whose magnitudes are those of a:
+# |fl - exact| <= sqrt(2) gamma_{2d} |a|^2, gamma_n = n u / (1 - n u), u = eps/2.
+# For m <= 6 that is below EXACT_C * m * eps * |a|^2 (at m = 6: 90.6 < 96).
+EXACT_C = 16
+EPS = Fraction(np.finfo(float).eps)
+
+
+def _gaussian(z):
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def _gaussian_product(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def exact_values(state):
+    """(kind, pair) -> the exact (re, im) of sum_jk a_j a_k M[j,k] for qubits.
+
+    The exact values are those of the float amplitudes as given, not of the
+    state their author meant: `ghz_state()` stores fl(1/sqrt(2)), so its exact
+    GHZ values have modulus 2 fl(1/sqrt(2))^2, not 1.
+    """
+    a = [_gaussian(z) for z in state.amps.tolist()]
+    values = {}
+    for kind in ClassKind:
+        for spec in pair_specs(state.dims, kind):
+            mat = class_operator(spec).mat
+            total = (Fraction(0), Fraction(0))
+            for j, k in zip(*np.nonzero(mat)):
+                entry = complex(mat[j, k])
+                assert entry in (1, -1, 1j, -1j)
+                term = _gaussian_product(_gaussian_product(a[j], a[k]), _gaussian(entry))
+                total = (total[0] + term[0], total[1] + term[1])
+            values[spec.kind, spec.pair] = total
+    return values
+
+
+def _exact_norm2(state):
+    return sum(re * re + im * im for re, im in map(_gaussian, state.amps.tolist()))
+
+
+def _abs2(x):
+    return x[0] * x[0] + x[1] * x[1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(st.integers(2, 6), st.sampled_from(AMPLITUDE_KINDS), seeds, log_scales))
+@example((6, "random", 3, 3.0))
+def test_both_kernels_within_rounding_bound_of_exact_values(draw):
+    m, kind, seed, log_scale = draw
+    state = PureState((2,) * m, drawn_qubit_amps(m, kind, seed, log_scale))
+    exact = exact_values(state)
+    bound2 = (EXACT_C * m * EPS * _exact_norm2(state)) ** 2
+    for kernel in (concurrence._qubit_conditions(m, state.amps), concurrence._mode_product_conditions(state.dims, state.amps)):
+        for kind_, matrix in zip((ClassKind.EPR, ClassKind.GHZ), kernel):
+            for r, s in itertools.combinations(range(m), 2):
+                value = _gaussian(matrix[r, s])
+                want = exact[kind_, (r + 1, s + 1)]
+                assert _abs2((value[0] - want[0], value[1] - want[1])) <= bound2
+
+
+def _exact_verdict(fired):
+    return {
+        frozenset(): Verdict.NO_CONDITION_FIRES,
+        frozenset({ClassKind.EPR}): Verdict.W_CLASS_CONDITIONS,
+        frozenset({ClassKind.GHZ}): Verdict.GHZ_CLASS_CONDITIONS,
+        frozenset(ClassKind): Verdict.BOTH,
+    }[frozenset(fired)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.tuples(st.integers(2, 6), st.sampled_from(AMPLITUDE_KINDS), seeds, log_scales),
+    st.one_of(st.floats(-12.0, 0.0).map(lambda x: ("absolute", x)), st.integers(-4, 4).map(lambda j: ("at a value", j))),
+)
+def test_float_verdict_equals_exact_verdict_off_the_threshold(draw, threshold):
+    m, kind, seed, log_scale = draw
+    state = PureState((2,) * m, drawn_qubit_amps(m, kind, seed, log_scale))
+    mode, x = threshold
+    if mode == "absolute":
+        tol = 10.0**x
+    else:  # a few ulps from one of the state's own normalized magnitudes
+        magnitudes = [v.normalized_magnitude for v in classify(state).values if v.normalized_magnitude > 0]
+        assume(magnitudes)
+        at = magnitudes[seed % len(magnitudes)]
+        tol = float(at + x * np.spacing(at))
+    report = classify(state, tol)
+    norm2 = _exact_norm2(state)
+    exact_tol = Fraction(tol)
+    # |normalized - |v|/|a|^2| <= the kernel bound plus the relative rounding
+    # of |v|, of the division and of norm2 (d squares summed: (d + 3) u)
+    band = EXACT_C * m * EPS + (2**m + 4) * EPS * (exact_tol + 1)
+    exact_fired, near = set(), False
+    for (kind_, pair), value in exact_values(state).items():
+        v2 = _abs2(value)
+        if v2 > exact_tol**2 * norm2**2:
+            exact_fired.add(kind_)
+        lo, hi = max(exact_tol - band, Fraction(0)), exact_tol + band
+        in_band = lo**2 * norm2**2 <= v2 <= hi**2 * norm2**2
+        near = near or in_band
+        fires = next(v for v in report.values if (v.kind, v.pair) == (kind_, pair)).fires(tol)
+        assert fires == (v2 > exact_tol**2 * norm2**2) or in_band
+    assert report.verdict is _exact_verdict(exact_fired) or near
+
+
+# ---------------------------------------------------------------------------
+# amplitudes at the ends of the float range
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(2,), (2, 2), (2, 2, 2), (2, 2, 2, 2), (3, 3), (2, 3, 2)]),
+    seeds,
+    log_scales,
+    st.integers(-600, 600),
+)
+@example((2, 2), 0, 0.0, 600)
+@example((2, 2, 2), 1, -3.0, -600)
+@example((2, 2, 2), 2, 3.0, -511)
+def test_power_of_two_scaling_keeps_every_verdict(dims, seed, log_scale, k):
+    state = drawn_state(dims, seed, log_scale)
+    scaled = PureState(dims, np.ldexp(state.amps.view(float), k).view(complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report, far = classify(state), classify(scaled)
+        oracle, far_oracle = oracle_classify(state), oracle_classify(scaled)
+    assert far.verdict is report.verdict
+    assert [v.normalized_magnitude for v in far.values] == [v.normalized_magnitude for v in report.values]
+    assert far_oracle.label is oracle.label
+    assert far_oracle.purities == oracle.purities
+
+
+def test_ends_of_the_float_range():
+    bell = np.array([1, 0, 0, 1], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = classify(PureState((2, 2), np.ldexp(bell.real, 600)))
+        tiny = classify(PureState((2, 2), np.ldexp(bell.real, -600)))
+        ghz = PureState((2, 2, 2), 1e160 * ghz_state().amps)
+        assert classify(ghz).verdict is Verdict.GHZ_CLASS_CONDITIONS
+        assert oracle_classify(ghz).label is StateClass.GHZ_CLASS
+        assert oracle_classify(PureState((2, 2, 2), 2.0**-600 * w_state().amps)).label is StateClass.W_CLASS
+    assert big.verdict is tiny.verdict is classify(PureState((2, 2), bell)).verdict
+    assert [v.normalized_magnitude for v in big.values] == [1.0, 1.0]
+    # value and magnitude are the state's own, rounded to float64
+    assert [v.magnitude for v in big.values] == [math.inf, math.inf]
+    assert [v.magnitude for v in tiny.values] == [0.0, 0.0]

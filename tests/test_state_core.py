@@ -138,6 +138,36 @@ def test_normalize():
         PureState((2,), [0, 0]).normalize()
 
 
+@pytest.mark.parametrize("k", [-1074, -600, -256, -255, 0, 255, 256, 600, 1000])
+def test_scaled_amplitudes_rescale_only_outside_the_window(k):
+    s = random_state((2, 3))
+    far = PureState(s.dims, np.ldexp(s.amps.view(float), k).view(complex))
+    with np.errstate(all="raise"):
+        amps, norm2, shift = far.scaled_amplitudes()
+    if -511 <= math.log2(s.norm2) + 2 * k <= 511:
+        assert shift == 0 and amps is far.amps and norm2 == far.norm2
+    else:
+        assert 0.5 <= np.abs(amps.view(float)).max() < 1.0
+        assert np.array_equal(np.ldexp(amps.view(float), shift), far.amps.view(float))
+        assert 0.25 <= norm2 <= 2 * s.dim
+    if abs(k) <= 600:  # the drawn amplitudes stay normal, so every scaling is exact
+        assert np.array_equal(amps.view(float), np.ldexp(s.amps.view(float), k - shift))
+
+
+@pytest.mark.parametrize("k", [-1000, -600, 600, 1000])
+def test_normalize_at_the_ends_of_the_float_range(k):
+    s = random_state((2, 2))
+    far = PureState(s.dims, np.ldexp(s.amps.view(float), k).view(complex))
+    with np.errstate(all="raise"):
+        assert np.array_equal(far.normalize().amps, s.normalize().amps)
+
+
+def test_scaled_amplitudes_of_the_zero_vector():
+    zero = PureState((2,), [0, 0])
+    amps, norm2, shift = zero.scaled_amplitudes()
+    assert amps is zero.amps and norm2 == 0.0 and shift == 0
+
+
 def test_pure_state_validation():
     with pytest.raises(ValueError):
         PureState((2, 2), [1, 0, 0])
