@@ -30,6 +30,12 @@ Every condition value is homogeneous of degree 2 in the amplitudes, so
 verdicts use the scale-free ratio |value| / norm^2 against a tolerance; a
 state outside the float range's working window is evaluated at its exact
 power-of-two rescaling (`PureState.scaled_amplitudes`).
+
+The report is lazy.  `classify` reads the kernel's upper triangles into
+plain Python numbers and decides the verdict from them; the
+`ConditionReport` keeps those numbers and the rescaling's shift, and builds
+its 2*C(m,2) `ConditionValue` objects only when `values` is first read.
+A verdict or `fired` check (`proposition_check` included) builds none.
 """
 
 from __future__ import annotations
@@ -37,8 +43,8 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -56,6 +62,9 @@ class Verdict(enum.Enum):
     BOTH = "BOTH"
 
 
+_KINDS = (ClassKind.EPR, ClassKind.GHZ)  # the order of `ConditionReport.values`
+
+
 @dataclass(frozen=True)
 class ConditionValue:
     kind: ClassKind
@@ -68,17 +77,59 @@ class ConditionValue:
         return self.normalized_magnitude > tol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ConditionReport:
-    """All 2*C(m,2) condition values for one state, plus the threshold verdict."""
+    """All 2*C(m,2) condition values for one state, plus the threshold verdict.
+
+    `classify` decides the verdict from the values as plain numbers and
+    stores them per kind, with the power-of-two shift of the state's
+    rescaling; `fired` reads the stored normalized magnitudes.  The tuple of
+    `ConditionValue` objects is built on the first read of `values`, once,
+    and that same tuple is returned on every later read.  `==`, `hash` and
+    `repr` go over `state`, `values`, `tol` and `verdict`, and
+    `dataclasses.replace` keeps the stored numbers.
+    """
 
     state: str
-    values: tuple[ConditionValue, ...]
     tol: float
     verdict: Verdict
+    _pairs: list[tuple[int, int]]  # 0-based r < s, in the order of the values
+    _values: dict[ClassKind, list[complex]]  # of the rescaled state
+    _normalized: dict[ClassKind, list[float]]
+    _shift: int  # the state's own values and magnitudes are these times 2**_shift
+
+    @cached_property
+    def values(self) -> tuple[ConditionValue, ...]:
+        built = []
+        for kind in _KINDS:
+            kind_values = self._values[kind]
+            magnitudes = [abs(value) for value in kind_values]
+            if self._shift:
+                kind_values, magnitudes = _unscaled(kind_values, magnitudes, self._shift)
+            rows = zip(self._pairs, kind_values, magnitudes, self._normalized[kind])
+            for (r, s), value, magnitude, normalized in rows:
+                built.append(ConditionValue(kind, (r + 1, s + 1), value, magnitude, normalized))
+        return tuple(built)
 
     def fired(self, kind: ClassKind) -> bool:
-        return any(v.kind is kind and v.fires(self.tol) for v in self.values)
+        return any(x > self.tol for x in self._normalized.get(kind, ()))
+
+    def _key(self) -> tuple:
+        return self.state, self.values, self.tol, self.verdict
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (
+            f"{type(self).__qualname__}(state={self.state!r}, values={self.values!r}, "
+            f"tol={self.tol!r}, verdict={self.verdict!r})"
+        )
 
 
 def bilinear_condition(state: PureState, op: OperatorMatrix) -> complex:
@@ -254,11 +305,11 @@ def _condition_matrices(dims: tuple[int, ...], a: np.ndarray) -> tuple[np.ndarra
     return _mode_product_conditions(dims, a)
 
 
-def _unscaled(v: ConditionValue, k: int) -> ConditionValue:
-    """`v` with value and magnitude times 2**k: inf past the float range, 0 below it."""
+def _unscaled(values: list[complex], magnitudes: list[float], k: int) -> tuple[list[complex], list[float]]:
+    """`values` and `magnitudes` times 2**k: inf past the float range, 0 below it."""
     with np.errstate(over="ignore"):
-        re, im, magnitude = np.ldexp([v.value.real, v.value.imag, v.magnitude], k).tolist()
-    return replace(v, value=complex(re, im), magnitude=magnitude)
+        re, im, magnitudes = np.ldexp([[v.real for v in values], [v.imag for v in values], magnitudes], k).tolist()
+    return list(map(complex, re, im)), magnitudes
 
 
 def classify(state: PureState, tol: float = DEFAULT_TOL, label: str | None = None) -> ConditionReport:
@@ -274,25 +325,24 @@ def classify(state: PureState, tol: float = DEFAULT_TOL, label: str | None = Non
     subnormal or overflowing included) is evaluated at its power-of-two
     rescaling: its verdict and normalized magnitudes are those of the state
     in range, and `value` and `magnitude` are its own, rounded to float64
-    (inf past the float range, 0 below it).  Raises ValueError for the zero
+    (inf past the float range, 0 below it).  The verdict is decided from
+    the values as plain numbers; the report's `values` tuple is built on its
+    first read (see `ConditionReport`).  Raises ValueError for the zero
     vector and for a `tol` that is not a positive finite number.
     """
     require_tol(tol)
     amps, norm2, shift = state.scaled_amplitudes()
     if norm2 == 0.0:
         raise ValueError("cannot classify the zero vector")
-    values = []
-    if state.m > 1:  # a single subsystem has no pairs
-        for kind, matrix in zip((ClassKind.EPR, ClassKind.GHZ), _condition_matrices(state.dims, amps)):
-            rows = matrix.tolist()
-            for r, s in itertools.combinations(range(state.m), 2):
-                value = rows[r][s]
-                magnitude = abs(value)
-                values.append(ConditionValue(kind, (r + 1, s + 1), value, magnitude, magnitude / norm2))
-    if shift:
-        values = [_unscaled(v, 2 * shift) for v in values]
-    epr_fired = any(v.fires(tol) for v in values if v.kind is ClassKind.EPR)
-    ghz_fired = any(v.fires(tol) for v in values if v.kind is ClassKind.GHZ)
+    pairs = list(itertools.combinations(range(state.m), 2))
+    # every kernel entry as a plain number; a single subsystem has no pairs
+    rows = [matrix.tolist() for matrix in _condition_matrices(state.dims, amps)] if pairs else [[], []]
+    values, normalized = {}, {}
+    for kind, kind_rows in zip(_KINDS, rows):
+        values[kind] = [kind_rows[r][s] for r, s in pairs]
+        normalized[kind] = [abs(value) / norm2 for value in values[kind]]
+    epr_fired = any(x > tol for x in normalized[ClassKind.EPR])
+    ghz_fired = any(x > tol for x in normalized[ClassKind.GHZ])
     if epr_fired and ghz_fired:
         verdict = Verdict.BOTH
     elif epr_fired:
@@ -302,4 +352,4 @@ def classify(state: PureState, tol: float = DEFAULT_TOL, label: str | None = Non
     else:
         verdict = Verdict.NO_CONDITION_FIRES
     description = label if label is not None else f"state dims={list(state.dims)}"
-    return ConditionReport(description, tuple(values), tol, verdict)
+    return ConditionReport(description, tol, verdict, pairs, values, normalized, 2 * shift)

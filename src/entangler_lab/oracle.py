@@ -193,29 +193,23 @@ def three_tangle(state: PureState) -> float:
     a, n2, _ = state.scaled_amplitudes()
     if n2 == 0.0:
         raise ValueError("cannot normalize the zero vector")
-    a = a / math.sqrt(n2)
-
-    def g(i, j, k):  # 0-based qubit digits
-        return a[4 * i + 2 * j + k]
-
+    # a[4i + 2j + k] for qubit digits (i, j, k), as Python complex numbers
+    a000, a001, a010, a011, a100, a101, a110, a111 = (a / math.sqrt(n2)).tolist()
     d1 = (
-        g(0, 0, 0) ** 2 * g(1, 1, 1) ** 2
-        + g(0, 0, 1) ** 2 * g(1, 1, 0) ** 2
-        + g(0, 1, 0) ** 2 * g(1, 0, 1) ** 2
-        + g(1, 0, 0) ** 2 * g(0, 1, 1) ** 2
+        a000 * a000 * (a111 * a111)
+        + a001 * a001 * (a110 * a110)
+        + a010 * a010 * (a101 * a101)
+        + a100 * a100 * (a011 * a011)
     )
     d2 = (
-        g(0, 0, 0) * g(1, 1, 1) * g(0, 1, 1) * g(1, 0, 0)
-        + g(0, 0, 0) * g(1, 1, 1) * g(1, 0, 1) * g(0, 1, 0)
-        + g(0, 0, 0) * g(1, 1, 1) * g(1, 1, 0) * g(0, 0, 1)
-        + g(0, 1, 1) * g(1, 0, 0) * g(1, 0, 1) * g(0, 1, 0)
-        + g(0, 1, 1) * g(1, 0, 0) * g(1, 1, 0) * g(0, 0, 1)
-        + g(1, 0, 1) * g(0, 1, 0) * g(1, 1, 0) * g(0, 0, 1)
+        a000 * a111 * a011 * a100
+        + a000 * a111 * a101 * a010
+        + a000 * a111 * a110 * a001
+        + a011 * a100 * a101 * a010
+        + a011 * a100 * a110 * a001
+        + a101 * a010 * a110 * a001
     )
-    d3 = (
-        g(0, 0, 0) * g(1, 1, 0) * g(1, 0, 1) * g(0, 1, 1)
-        + g(1, 1, 1) * g(0, 0, 1) * g(0, 1, 0) * g(1, 0, 0)
-    )
+    d3 = a000 * a110 * a101 * a011 + a111 * a001 * a010 * a100
     return float(4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -14,6 +15,7 @@ from entangler_lab.class_operators import ClassKind, ClassOperatorSpec, class_op
 from entangler_lab.concurrence import (
     EPR_OPERATOR_FACTOR,
     GHZ_OPERATOR_FACTOR,
+    ConditionValue,
     Verdict,
     bilinear_condition,
     classify,
@@ -23,6 +25,7 @@ from entangler_lab.concurrence import (
 from entangler_lab.entangler import EntanglerSpec, EvaluationTarget, proposition_check
 from entangler_lab.oracle import StateClass, oracle_classify
 from entangler_lab.state_core import (
+    DEFAULT_TOL,
     PureState,
     basis_state,
     conjugate_state,
@@ -435,17 +438,17 @@ def test_gathered_expansions_equal_loop_reference(dims, seed, log_scale):
 AMPLITUDE_KINDS = ("random", "sparse", "product", "integer")
 
 
-def drawn_qubit_amps(m, kind, seed, log_scale):
+def drawn_amps(dims, kind, seed, log_scale):
     g = np.random.default_rng(seed)
-    d = 2**m
+    d = math.prod(dims)
     if kind == "random":
         a = g.normal(size=d) + 1j * g.normal(size=d)
     elif kind == "sparse":
         a = np.zeros(d, dtype=complex)
-        k = int(g.integers(1, 5))
+        k = int(g.integers(1, min(d, 4) + 1))
         a[g.choice(d, k, replace=False)] = g.normal(size=k) + 1j * g.normal(size=k)
     elif kind == "product":
-        a = product_state([PureState((2,), g.normal(size=2) + 1j * g.normal(size=2)) for _ in range(m)]).amps
+        a = product_state([PureState((n,), g.normal(size=n) + 1j * g.normal(size=n)) for n in dims]).amps
     else:
         a = (g.integers(-3, 4, d) + 1j * g.integers(-3, 4, d)).astype(complex)
         a[0] = 4  # never the zero vector
@@ -461,7 +464,7 @@ qubit_draws = st.tuples(st.integers(2, 12), st.sampled_from(AMPLITUDE_KINDS), se
 @example((12, "integer", 1, 3.0))
 def test_qubit_kernel_equals_mode_products(draw):
     m, kind, seed, log_scale = draw
-    a = drawn_qubit_amps(m, kind, seed, log_scale)
+    a = drawn_amps((2,) * m, kind, seed, log_scale)
     qubit = concurrence._qubit_conditions(m, a)
     modes = concurrence._mode_product_conditions((2,) * m, a)
     # == compares numbers: only the sign of an exact zero may differ
@@ -539,11 +542,14 @@ def _gaussian_product(x, y):
 
 
 def exact_values(state):
-    """(kind, pair) -> the exact (re, im) of sum_jk a_j a_k M[j,k] for qubits.
+    """(kind, pair) -> the exact (re, im) of sum_jk a_j a_k M[j,k], for any dims.
 
-    The exact values are those of the float amplitudes as given, not of the
-    state their author meant: `ghz_state()` stores fl(1/sqrt(2)), so its exact
-    GHZ values have modulus 2 fl(1/sqrt(2))^2, not 1.
+    Every entry of a dense class operator is a product of entries of T(pi/2)
+    (0, +-i), T(pi) (0, -1) and the identity, so it is 0, +-1 or +-i for
+    qubits, qutrits and mixed dims alike.  The exact values are those of the
+    float amplitudes as given, not of the state their author meant:
+    `ghz_state()` stores fl(1/sqrt(2)), so its exact GHZ values have modulus
+    2 fl(1/sqrt(2))^2, not 1.
     """
     a = [_gaussian(z) for z in state.amps.tolist()]
     values = {}
@@ -573,7 +579,7 @@ def _abs2(x):
 @example((6, "random", 3, 3.0))
 def test_both_kernels_within_rounding_bound_of_exact_values(draw):
     m, kind, seed, log_scale = draw
-    state = PureState((2,) * m, drawn_qubit_amps(m, kind, seed, log_scale))
+    state = PureState((2,) * m, drawn_amps((2,) * m, kind, seed, log_scale))
     exact = exact_values(state)
     bound2 = (EXACT_C * m * EPS * _exact_norm2(state)) ** 2
     for kernel in (concurrence._qubit_conditions(m, state.amps), concurrence._mode_product_conditions(state.dims, state.amps)):
@@ -582,6 +588,60 @@ def test_both_kernels_within_rounding_bound_of_exact_values(draw):
                 value = _gaussian(matrix[r, s])
                 want = exact[kind_, (r + 1, s + 1)]
                 assert _abs2((value[0] - want[0], value[1] - want[1])) <= bound2
+
+
+# The mode products on any dims, against the same exact values.  Written as
+# real arithmetic, the kernel is sums of products, so by the standard running
+# bound |fl - exact| <= gamma_K * (the same computation on absolute values),
+# with K the most roundings on any path from an input to the output:
+# X = T(pi/2) - colsum / (N - 1) takes at most N + 1, a mode product N (one
+# product, N - 1 sums), c = P a m of them, and the Gram product d + 1, so
+# K <= (m + 1) N_max + d + 1.  With rho(z) = |re z| + |im z| (a +-i or -1
+# entry has rho = 1, and |rho(a)|^2 <= 2 |a|^2), the absolute EPR computation
+# is (|T|_r rho) . (|T|_s rho) with |T(pi/2)| = J - I of norm N - 1.  For GHZ,
+# X's entries compute to rho <= 2 off the diagonal and 1 on it (W = 2J - I),
+# and c = P a carries |T(pi)| = J - I on every axis, the (N - 1) per slot
+# that undoing T(pi) with X = T(pi)^-1 T(pi/2) does not remove from the
+# rounding: the absolute value is rho . (J-I)W_r (J-I)W_s (x) (J-I)_others rho,
+# and (J-I)(2J-I) = (2N-3)J + I has norm (2N-3)N + 1.
+
+
+def _gamma(n):
+    u = EPS / 2
+    return n * u / (1 - n * u)
+
+
+def mode_product_bound(dims, kind, pair):
+    """gamma_K * 2 * F * |a|^2 as a factor of |a|^2, F the norm of the absolute computation."""
+    m, d = len(dims), math.prod(dims)
+    r, s = (dims[i - 1] for i in pair)
+    if kind is ClassKind.EPR:
+        factor = (r - 1) * (s - 1)
+    else:
+        others = math.prod(n - 1 for i, n in enumerate(dims, start=1) if i not in pair)
+        factor = ((2 * r - 3) * r + 1) * ((2 * s - 3) * s + 1) * others
+    return _gamma((m + 1) * max(dims) + d + 1) * 2 * factor
+
+
+small_dims = st.lists(st.integers(2, 4), min_size=2, max_size=4).map(tuple).filter(lambda dims: math.prod(dims) <= 81)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_dims, st.sampled_from(AMPLITUDE_KINDS), seeds, log_scales)
+@example((3, 3, 3), "random", 0, 0.0)
+@example((4, 4, 4), "random", 1, 3.0)
+@example((3, 3, 3, 3), "integer", 2, -3.0)
+@example((2, 4, 3), "sparse", 3, 0.0)
+def test_mode_products_within_rounding_bound_of_exact_values(dims, kind, seed, log_scale):
+    state = PureState(dims, drawn_amps(dims, kind, seed, log_scale))
+    exact = exact_values(state)
+    norm2 = _exact_norm2(state)
+    for kind_, matrix in zip((ClassKind.EPR, ClassKind.GHZ), concurrence._mode_product_conditions(dims, state.amps)):
+        for r, s in itertools.combinations(range(len(dims)), 2):
+            value = _gaussian(matrix[r, s])
+            want = exact[kind_, (r + 1, s + 1)]
+            bound = mode_product_bound(dims, kind_, (r + 1, s + 1)) * norm2
+            assert _abs2((value[0] - want[0], value[1] - want[1])) <= bound**2
 
 
 def _exact_verdict(fired):
@@ -600,7 +660,7 @@ def _exact_verdict(fired):
 )
 def test_float_verdict_equals_exact_verdict_off_the_threshold(draw, threshold):
     m, kind, seed, log_scale = draw
-    state = PureState((2,) * m, drawn_qubit_amps(m, kind, seed, log_scale))
+    state = PureState((2,) * m, drawn_amps((2,) * m, kind, seed, log_scale))
     mode, x = threshold
     if mode == "absolute":
         tol = 10.0**x
@@ -670,3 +730,118 @@ def test_ends_of_the_float_range():
     # value and magnitude are the state's own, rounded to float64
     assert [v.magnitude for v in big.values] == [math.inf, math.inf]
     assert [v.magnitude for v in tiny.values] == [0.0, 0.0]
+
+
+# ---------------------------------------------------------------------------
+# the lazy report against the eager loop that built every ConditionValue
+# before deciding the verdict, kept here as its reference
+
+
+def _eager_unscaled(v, k):
+    with np.errstate(over="ignore"):
+        re, im, magnitude = np.ldexp([v.value.real, v.value.imag, v.magnitude], k).tolist()
+    return dataclasses.replace(v, value=complex(re, im), magnitude=magnitude)
+
+
+def eager_report(state, tol=DEFAULT_TOL):
+    """(values, verdict) as classify built them: one ConditionValue per value, then the verdict."""
+    amps, norm2, shift = state.scaled_amplitudes()
+    values = []
+    if state.m > 1:
+        for kind, matrix in zip((ClassKind.EPR, ClassKind.GHZ), concurrence._condition_matrices(state.dims, amps)):
+            rows = matrix.tolist()
+            for r, s in itertools.combinations(range(state.m), 2):
+                value = rows[r][s]
+                magnitude = abs(value)
+                values.append(ConditionValue(kind, (r + 1, s + 1), value, magnitude, magnitude / norm2))
+    if shift:
+        values = [_eager_unscaled(v, 2 * shift) for v in values]
+    epr_fired = any(v.fires(tol) for v in values if v.kind is ClassKind.EPR)
+    ghz_fired = any(v.fires(tol) for v in values if v.kind is ClassKind.GHZ)
+    fired = {kind for kind, on in ((ClassKind.EPR, epr_fired), (ClassKind.GHZ, ghz_fired)) if on}
+    return tuple(values), _exact_verdict(fired)
+
+
+report_dims = st.one_of(
+    st.integers(1, 12).map(lambda m: (2,) * m),
+    st.integers(1, 6).map(lambda m: (3,) * m),
+    st.lists(st.integers(2, 4), min_size=1, max_size=5).map(tuple),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    report_dims,
+    st.sampled_from(AMPLITUDE_KINDS),
+    seeds,
+    st.one_of(st.just(0), st.sampled_from([-600, 600]), st.integers(-600, 600)),
+    st.one_of(st.just(DEFAULT_TOL), st.floats(1e-15, 1.0)),
+)
+@example((2, 2), "random", 0, 600, DEFAULT_TOL)
+@example((2,) * 12, "sparse", 1, -600, DEFAULT_TOL)
+@example((3, 3, 3), "product", 2, 0, DEFAULT_TOL)
+@example((2,), "random", 3, 600, DEFAULT_TOL)
+def test_lazy_report_equals_eager_reference(dims, kind, seed, k, tol):
+    state = PureState(dims, np.ldexp(drawn_amps(dims, kind, seed, 0.0).view(float), k).view(complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, _ = eager_report(state, tol)
+        top = max((v.normalized_magnitude for v in values), default=0.0)
+        # also tol at the largest normalized magnitude itself, where > and >= part
+        for tol_ in {tol, top or tol}:
+            report = classify(state, tol_)
+            values, verdict = eager_report(state, tol_)
+            assert report.verdict is verdict
+            for kind_ in ClassKind:
+                assert report.fired(kind_) == any(v.kind is kind_ and v.fires(tol_) for v in values)
+            # repr shows every bit, the sign of a zero included
+            assert list(map(repr, report.values)) == list(map(repr, values))
+
+
+def test_report_values_are_built_once():
+    report = classify(random_state((2, 3, 2)))
+    first = report.values
+    assert isinstance(first, tuple) and report.values is first
+    assert len(first) == 2 * 3
+
+
+def test_report_replace_equality_and_hash():
+    state = random_state((2, 2, 2, 2))
+    report = classify(state, label="s")
+    flipped = dataclasses.replace(report, verdict=Verdict.W_CLASS_CONDITIONS)
+    assert report.verdict is Verdict.BOTH and flipped.verdict is Verdict.W_CLASS_CONDITIONS
+    assert flipped.values == report.values and flipped.state == "s" and flipped.tol == report.tol
+    assert all(flipped.fired(kind) == report.fired(kind) for kind in ClassKind)
+    assert flipped != report
+    # == and hash go over state, values, tol and verdict, as a dataclass over those four fields does
+    again = classify(state, label="s")
+    assert again == report and hash(again) == hash(report)
+    assert hash(report) == hash((report.state, report.values, report.tol, report.verdict))
+    assert classify(state, label="t") != report
+    assert classify(state, 0.5, label="s") != report
+    assert dataclasses.replace(report, tol=0.5).tol == 0.5
+    assert report != (report.state, report.values, report.tol, report.verdict)
+    assert len({report, again, flipped}) == 2
+    assert repr(report) == (
+        f"ConditionReport(state='s', values={report.values!r}, tol={report.tol!r}, verdict={Verdict.BOTH!r})"
+    )
+
+
+def test_verdicts_and_checks_build_no_condition_value(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a ConditionValue was built")
+
+    monkeypatch.setattr(ConditionValue, "__init__", refuse)
+    for dims in [(2,) * m for m in range(1, 13)] + [(3, 3, 3)]:
+        report = classify(random_state(dims))
+        assert report.verdict is (Verdict.NO_CONDITION_FIRES if len(dims) == 1 else Verdict.BOTH)
+        assert [report.fired(kind) for kind in ClassKind] == [len(dims) > 1] * 2
+    assert classify(ghz_state(12)).verdict is Verdict.GHZ_CLASS_CONDITIONS
+    assert classify(w_state(12)).verdict is Verdict.W_CLASS_CONDITIONS
+    for m, N in [(m, 2) for m in range(2, 13)] + [(3, 3)]:
+        spec = EntanglerSpec(m, N, np.exp(1j * rng.uniform(0, 2 * np.pi, N**m)))
+        for kind in ClassKind:
+            for target in EvaluationTarget:
+                assert proposition_check(spec, kind, target).fires
+    with pytest.raises(AssertionError, match="ConditionValue was built"):
+        classify(ghz_state()).values

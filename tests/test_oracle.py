@@ -178,6 +178,52 @@ def test_three_tangle_builds_no_normalized_state(monkeypatch):
     assert three_tangle(PureState((2, 2, 2), 3.0 * ghz_state().amps)) == pytest.approx(1.0, abs=1e-10)
 
 
+def _three_tangle_reference(state):
+    """The three-tangle over numpy complex scalars, one indexed amplitude per factor."""
+    a, n2, _ = state.scaled_amplitudes()
+    a = a / math.sqrt(n2)
+
+    def g(i, j, k):  # 0-based qubit digits
+        return a[4 * i + 2 * j + k]
+
+    d1 = (
+        g(0, 0, 0) ** 2 * g(1, 1, 1) ** 2
+        + g(0, 0, 1) ** 2 * g(1, 1, 0) ** 2
+        + g(0, 1, 0) ** 2 * g(1, 0, 1) ** 2
+        + g(1, 0, 0) ** 2 * g(0, 1, 1) ** 2
+    )
+    d2 = (
+        g(0, 0, 0) * g(1, 1, 1) * g(0, 1, 1) * g(1, 0, 0)
+        + g(0, 0, 0) * g(1, 1, 1) * g(1, 0, 1) * g(0, 1, 0)
+        + g(0, 0, 0) * g(1, 1, 1) * g(1, 1, 0) * g(0, 0, 1)
+        + g(0, 1, 1) * g(1, 0, 0) * g(1, 0, 1) * g(0, 1, 0)
+        + g(0, 1, 1) * g(1, 0, 0) * g(1, 1, 0) * g(0, 0, 1)
+        + g(1, 0, 1) * g(0, 1, 0) * g(1, 1, 0) * g(0, 0, 1)
+    )
+    d3 = (
+        g(0, 0, 0) * g(1, 1, 0) * g(1, 0, 1) * g(0, 1, 1)
+        + g(1, 1, 1) * g(0, 0, 1) * g(0, 1, 0) * g(1, 0, 0)
+    )
+    return float(4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 8),
+    st.sampled_from([1.0, 1e-150, 1e150, 2.0**-600, 2.0**600]),
+)
+def test_three_tangle_equals_numpy_scalar_reference_bitwise(seed, nonzero, scale):
+    g = np.random.default_rng(seed)
+    a = np.zeros(8, dtype=complex)
+    where = g.choice(8, nonzero, replace=False)
+    a[where] = g.normal(size=nonzero) + 1j * g.normal(size=nonzero)
+    state = PureState((2, 2, 2), scale * a)
+    assert three_tangle(state) == _three_tangle_reference(state)
+    for fixed in (ghz_state(), w_state(), random_product((2, 2, 2))):
+        assert three_tangle(fixed) == _three_tangle_reference(fixed)
+
+
 # ---------------------------------------------------------------------------
 # classification
 
