@@ -20,21 +20,28 @@ swap (see `check_quasitriangular`), so it is computed once.
 
 Monomial operators.  When R holds exactly one nonzero per row and per column
 (every gate of the `entangler` family does), R (x) I and I (x) R are
-monomial too, and so is every product of them.  Each is kept as a
-destination row and a value per column, products are gathers, and a
-residual is read column by column: where the two sides send a column to the
-same row it is |l - r|, where they send it to different rows it is
-max(|l|, |r|).  That is O(d^3) for the Yang-Baxter window and O(d^4) for the
-commuting one, against O(d^9) and O(d^12) for the dense products, which stay
-for every other R (and for a monomial R with a non-finite entry).  A
-monomial `OperatorMatrix`, such as every gate `build_r` returns, hands its
-(permutation, values) pair to each check, so no d^2 x d^2 matrix is formed
-or scanned; a dense matrix is scanned once per check for the pair.  The
-commuting products multiply their two values in one fixed order, so a
-monomial R commutes with residual exactly 0.0, as the dense path gives.  The
-3-strand windows are d^3 x d^3 when dense, and the n-strand representation
-d^n; both are held to MAX_TOTAL_DIM and refused before the first allocation,
-whichever path would run.
+monomial too, and so is every product of them.  Each is kept in the row
+form that `OperatorMatrix.monomial` stores, a column cols[q] and a value
+values[q] per row q, and nothing else: M @ N is the gather
+(N.cols[M.cols], M.values * N.values[M.cols]), and a residual is read row by
+row: where the two sides put a row's nonzero in the same column it is
+|l - r|, where they put it in different columns it is max(|l|, |r|).  That is
+O(d^3) for the Yang-Baxter window and O(d^4) for the commuting one, against
+O(d^9) and O(d^12) for the dense products, which stay for every other R (and
+for a monomial R with a non-finite entry).  The Yang-Baxter products
+associate right to left, A (B A) against B (A B), so that every entry is the
+leftmost factor's value times the product of the other two, which is the
+product that applying the three factors one after the other gives: complex
+multiplication is not associative in floating point, so the grouping is part
+of the residual.  The commuting products multiply the R (x) I value first
+on both sides, so a monomial R commutes with residual exactly 0.0, as the
+dense path gives.  A monomial `OperatorMatrix`, such as every gate `build_r`
+returns, hands its stored pair to each check, so no d^2 x d^2 matrix is
+formed or scanned; a dense matrix is scanned once per check for the pair.
+The quasitriangular check gathers the rows of P R from that pair and reads
+their residual directly.  The 3-strand windows are d^3 x d^3 when dense, and
+the n-strand representation d^n; both are held to MAX_TOTAL_DIM and refused
+before the first allocation, whichever path would run.
 
 The family's two-strand gates (m = 2, N = d).  Write R|c> = alpha_c |s(c)>
 for the corner-fixing interior reversal s on pairs of digits, and let
@@ -163,55 +170,56 @@ class StrandRep:
         return [self.generator(i) for i in range(1, self.n)]
 
 
-def _monomial_columns(R: OperatorMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """(dest, w) with R[dest[j], j] = w[j] for every column j, or None if not monomial."""
-    entries = monomial_entries(R)
-    if entries is None:
-        return None
-    cols, values = entries
-    dest = np.empty_like(cols)
-    dest[cols] = np.arange(len(cols))
-    return dest, values[dest]
+def _padded(rows: tuple[np.ndarray, np.ndarray], left: int, right: int) -> tuple[np.ndarray, np.ndarray]:
+    """I_left (x) M (x) I_right in the (cols, values) row form of the monomial M."""
+    cols, values = rows
+    n = len(cols)
+    out = (np.arange(left)[:, None, None] * n + cols[:, None]) * right + np.arange(right)
+    padded = np.empty((left, n, right), dtype=values.dtype)
+    padded[...] = values[:, None]  # a broadcast store: cheaper than ravelling a broadcast view
+    return out.ravel(), padded.ravel()
 
 
-def _padded(columns: tuple[np.ndarray, np.ndarray], left: int, right: int) -> tuple[np.ndarray, np.ndarray]:
-    """I_left (x) M (x) I_right in the (dest, w) form of the monomial M."""
-    dest, w = columns
-    n = len(dest)
-    out = (np.arange(left)[:, None, None] * n + dest[:, None]) * right + np.arange(right)
-    return out.ravel(), np.broadcast_to(w[:, None], (left, n, right)).ravel()
-
-
-def _then(first, second) -> tuple[np.ndarray, np.ndarray]:
-    """second @ first in the (dest, w) form: apply `first`, then `second`."""
-    return second[0][first[0]], second[1][first[0]] * first[1]
+def _times(m, n) -> tuple[np.ndarray, np.ndarray]:
+    """m @ n in the (cols, values) row form: row q of m picks row m.cols[q] of n."""
+    return n[0][m[0]], m[1] * n[1][m[0]]
 
 
 def _monomial_residual(lhs, rhs) -> float:
-    """max |lhs - rhs| over the entries of two monomial matrices in (dest, w) form.
+    """max |lhs - rhs| over the entries of two monomial matrices in (cols, values) form.
 
-    A column whose two nonzeros share a row differs by |l - r| there; one
-    whose nonzeros sit in different rows holds l in one and -r in the other.
+    A row whose two nonzeros share a column differs by |l - r| there; one
+    whose nonzeros sit in different columns holds l in one and -r in the other.
     """
-    (ld, lw), (rd, rw) = lhs, rhs
-    per_column = np.where(ld == rd, np.abs(lw - rw), np.maximum(np.abs(lw), np.abs(rw)))
-    return float(np.max(per_column))
+    (lc, lv), (rc, rv) = lhs, rhs
+    per_row = np.where(lc == rc, np.abs(lv - rv), np.maximum(np.abs(lv), np.abs(rv)))
+    return float(np.max(per_row))
+
+
+def _monomial_ybe_residual(rows: tuple[np.ndarray, np.ndarray], d: int) -> float:
+    """Yang-Baxter residual of the monomial R whose (cols, values) rows are given.
+
+    Right to left, A (B A) against B (A B): each entry is the leftmost
+    factor's value times the product of the other two (see the module
+    docstring for why the grouping is fixed).
+    """
+    a = _padded(rows, 1, d)
+    b = _padded(rows, d, 1)
+    return _monomial_residual(_times(a, _times(b, a)), _times(b, _times(a, b)))
 
 
 def check_ybe(R: OperatorMatrix | np.ndarray, tol: float = DEFAULT_TOL) -> YbeResult:
     """Entry-wise max residual of the Yang-Baxter equation for a d^2 x d^2 operator.
 
-    A monomial R gets the residual from its (permutation, values) form in
-    O(d^3), read off the stored pair of a monomial OperatorMatrix without a
+    A monomial R gets the residual from its (cols, values) rows in O(d^3),
+    read off the stored pair of a monomial OperatorMatrix without a
     d^2 x d^2 matrix; any other R gets the dense d^3 x d^3 products.
     """
     R, d = _two_strand(R)
     require_ybe_window(d)
-    columns = _monomial_columns(R)
-    if columns is not None:
-        a = _padded(columns, 1, d)
-        b = _padded(columns, d, 1)
-        residual = _monomial_residual(_then(_then(a, b), a), _then(_then(b, a), b))
+    rows = monomial_entries(R)
+    if rows is not None:
+        residual = _monomial_ybe_residual(rows, d)
     else:
         mat = _dense(R)
         eye = np.eye(d, dtype=complex)
@@ -223,18 +231,18 @@ def check_ybe(R: OperatorMatrix | np.ndarray, tol: float = DEFAULT_TOL) -> YbeRe
 
 def _commuting_residual(R: OperatorMatrix | np.ndarray, d: int) -> float:
     """Residual of (R (x) I_{d^2}) (I_{d^2} (x) R) = (I_{d^2} (x) R) (R (x) I_{d^2})."""
-    columns = _monomial_columns(R)
-    if columns is None:
+    rows = monomial_entries(R)
+    if rows is None:
         mat = _dense(R)
         a = np.kron(mat, np.eye(d**2, dtype=complex))
         b = np.kron(np.eye(d**2, dtype=complex), mat)
         return float(np.max(np.abs(a @ b - b @ a)))
-    a = _padded(columns, 1, d**2)
-    b = _padded(columns, d**2, 1)
+    a = _padded(rows, 1, d**2)
+    b = _padded(rows, d**2, 1)
     # both products multiply the R (x) I factor first: complex multiplication
     # is not bitwise commutative, and the same order keeps equal values equal
-    ab = a[0][b[0]], a[1][b[0]] * b[1]
-    ba = b[0][a[0]], a[1] * b[1][a[0]]
+    ab = _times(a, b)
+    ba = a[0][b[0]], a[1][b[0]] * b[1]
     return _monomial_residual(ab, ba)
 
 
@@ -286,17 +294,17 @@ def check_quasitriangular(R: OperatorMatrix | np.ndarray, tol: float = DEFAULT_T
     and their entry-wise maxima are equal.  The residual is therefore the
     Yang-Baxter residual of P R, computed once and also reported as
     `induced_ybe`: the relation holds exactly when P R solves the Yang-Baxter
-    equation.  P R is a row gather of R: of its (cols, values) pair when R
-    is monomial, so no dense matrix is formed, and of its dense matrix
-    otherwise.
+    equation.  P R is a row gather of R: of its (cols, values) rows when R
+    is monomial, whose residual is then read off the gathered rows with no
+    matrix formed or scanned again, and of its dense matrix otherwise.
     """
     R, d = _two_strand(R)
     require_ybe_window(d)
     order = _factor_swap_order(d)
-    entries = monomial_entries(R)
-    if entries is not None:
-        swapped = OperatorMatrix.monomial((d, d), entries[0][order], entries[1][order])
+    rows = monomial_entries(R)
+    if rows is not None:
+        residual = _monomial_ybe_residual((rows[0][order], rows[1][order]), d)
+        induced = YbeResult(residual=residual, passed=residual <= tol, d=d)
     else:
-        swapped = _dense(R)[order]
-    induced = check_ybe(swapped, tol)
+        induced = check_ybe(_dense(R)[order], tol)
     return QuasitriangularResult(residual=induced.residual, passed=induced.passed, induced_ybe=induced)

@@ -87,7 +87,10 @@ class ConditionReport:
     `ConditionValue` objects is built on the first read of `values`, once,
     and that same tuple is returned on every later read.  `==`, `hash` and
     `repr` go over `state`, `values`, `tol` and `verdict`, and
-    `dataclasses.replace` keeps the stored numbers.
+    `dataclasses.replace` keeps the stored numbers.  `tol` is the tolerance
+    the verdict was decided at, so a report answers at one tolerance only: a
+    report made with any other `tol`, by `dataclasses.replace` say, raises
+    ValueError.
     """
 
     state: str
@@ -97,6 +100,14 @@ class ConditionReport:
     _values: dict[ClassKind, list[complex]]  # of the rescaled state
     _normalized: dict[ClassKind, list[float]]
     _shift: int  # the state's own values and magnitudes are these times 2**_shift
+    _verdict_tol: float  # the tol `classify` decided the verdict at
+
+    def __post_init__(self):
+        if self.tol != self._verdict_tol:
+            raise ValueError(
+                f"this report's verdict was decided at tol={self._verdict_tol!r}, not tol={self.tol!r}; "
+                "classify(state, tol) decides one at another tol"
+            )
 
     @cached_property
     def values(self) -> tuple[ConditionValue, ...]:
@@ -352,4 +363,4 @@ def classify(state: PureState, tol: float = DEFAULT_TOL, label: str | None = Non
     else:
         verdict = Verdict.NO_CONDITION_FIRES
     description = label if label is not None else f"state dims={list(state.dims)}"
-    return ConditionReport(description, tol, verdict, pairs, values, normalized, 2 * shift)
+    return ConditionReport(description, tol, verdict, pairs, values, normalized, 2 * shift, tol)

@@ -110,8 +110,15 @@ class PropositionCheck:
 
 
 def _reversal(dim: int) -> np.ndarray:
-    """Corner-fixing interior reversal s: 0 -> 0, q -> dim-1-q, dim-1 -> dim-1."""
-    return np.r_[0, dim - 2 : 0 : -1, dim - 1]
+    """Corner-fixing interior reversal s: 0 -> 0, q -> dim-1-q, dim-1 -> dim-1.
+
+    The full reversal with its two ends stored back: a fresh, writable intp
+    array, built without numpy's index-trick machinery.
+    """
+    s = np.arange(dim - 1, -1, -1)
+    s[0] = 0
+    s[-1] = dim - 1
+    return s
 
 
 def build_r(spec: EntanglerSpec) -> OperatorMatrix:

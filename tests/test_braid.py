@@ -16,6 +16,7 @@ from entangler_lab.braid import (
     require_ybe_window,
 )
 from entangler_lab.entangler import EntanglerSpec, build_r
+from entangler_lab.state_core import DEFAULT_TOL, OperatorMatrix, monomial_entries
 
 rng = np.random.default_rng(555)
 
@@ -321,3 +322,133 @@ def test_gate_checks_build_no_dense_window(monkeypatch):
             assert ybe.residual >= 1 - 1e-12 and not report.passed
         assert report.max_commuting_residual == 0.0
         assert quasi.residual == quasi.induced_ybe.residual
+
+
+# ---------------------------------------------------------------------------
+# the row-form monomial path against the column-form reference
+#
+# The reference keeps each monomial matrix as a destination row and a value
+# per column, and multiplies by applying one factor after the other.  The
+# library reads the (cols, values) rows it stores; the two must agree bit
+# for bit, which fixes how the library's products associate.
+
+
+def _monomial_columns(R):
+    """(dest, w) with R[dest[j], j] = w[j] for every column j, or None if not monomial."""
+    entries = monomial_entries(R)
+    if entries is None:
+        return None
+    cols, values = entries
+    dest = np.empty_like(cols)
+    dest[cols] = np.arange(len(cols))
+    return dest, values[dest]
+
+
+def _padded(columns, left, right):
+    """I_left (x) M (x) I_right in the (dest, w) form of the monomial M."""
+    dest, w = columns
+    n = len(dest)
+    out = (np.arange(left)[:, None, None] * n + dest[:, None]) * right + np.arange(right)
+    return out.ravel(), np.broadcast_to(w[:, None], (left, n, right)).ravel()
+
+
+def _then(first, second):
+    """second @ first in the (dest, w) form: apply `first`, then `second`."""
+    return second[0][first[0]], second[1][first[0]] * first[1]
+
+
+def _monomial_residual(lhs, rhs):
+    """max |lhs - rhs| over the entries of two monomial matrices in (dest, w) form."""
+    (ld, lw), (rd, rw) = lhs, rhs
+    per_column = np.where(ld == rd, np.abs(lw - rw), np.maximum(np.abs(lw), np.abs(rw)))
+    return float(np.max(per_column))
+
+
+def reference_ybe(R, d):
+    columns = _monomial_columns(R)
+    a = _padded(columns, 1, d)
+    b = _padded(columns, d, 1)
+    return _monomial_residual(_then(_then(a, b), a), _then(_then(b, a), b))
+
+
+def reference_swapped(R, d):
+    """P R as a monomial OperatorMatrix, the factor swap P gathering the rows of R."""
+    cols, values = monomial_entries(R)
+    order = np.arange(d * d).reshape(d, d).T.ravel()
+    return OperatorMatrix.monomial((d, d), cols[order], values[order])
+
+
+def reference_quasitriangular(R, d):
+    return reference_ybe(reference_swapped(R, d), d)
+
+
+def reference_commuting(R, d):
+    columns = _monomial_columns(R)
+    a = _padded(columns, 1, d**2)
+    b = _padded(columns, d**2, 1)
+    ab = a[0][b[0]], a[1][b[0]] * b[1]
+    ba = b[0][a[0]], a[1] * b[1][a[0]]
+    return _monomial_residual(ab, ba)
+
+
+def drawn_monomial(d, seed, kind, unimodular):
+    """A monomial d^2 x d^2 operator: a family gate or a random permutation, as an OperatorMatrix or array."""
+    g = np.random.default_rng(seed)
+    values = np.exp(1j * g.uniform(0, 2 * np.pi, d * d))
+    if not unimodular:
+        values *= 10.0 ** g.uniform(-3, 3, d * d)  # moduli 1e-3 .. 1e3
+    if kind == "gate":
+        return build_r(EntanglerSpec(2, d, values))
+    perm = g.permutation(d * d)
+    if kind == "permutation":
+        return OperatorMatrix.monomial((d, d), perm, values)
+    return monomial(perm, values)  # a dense array, scanned for its pair
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(2, 6),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["gate", "permutation", "array"]),
+    st.booleans(),
+    st.booleans(),
+)
+def test_row_form_residuals_equal_column_form_reference(d, seed, kind, unimodular, at_residual):
+    R = drawn_monomial(d, seed, kind, unimodular)
+    ybe_ref = reference_ybe(R, d)
+    quasi_ref = reference_quasitriangular(R, d)
+    # tol set to a residual itself is where <= and < part
+    ybe_tol = ybe_ref if at_residual and ybe_ref > 0 else DEFAULT_TOL
+    quasi_tol = quasi_ref if at_residual and quasi_ref > 0 else DEFAULT_TOL
+    ybe = check_ybe(R, ybe_tol)
+    assert ybe.residual == ybe_ref and ybe.passed == (ybe_ref <= ybe_tol) and ybe.d == d
+    quasi = check_quasitriangular(R, quasi_tol)
+    assert quasi.residual == quasi_ref and quasi.passed == (quasi_ref <= quasi_tol)
+    assert quasi.induced_ybe == check_ybe(reference_swapped(R, d), quasi_tol)
+    commuting_ref = reference_commuting(R, d)
+    assert commuting_ref == 0.0
+    for n in range(3, 6):
+        if d**n > MAX_TOTAL_DIM:
+            break
+        report = check_braid_relations(StrandRep(n, R), ybe_tol)
+        assert report.max_adjacent_residual == ybe_ref
+        assert report.max_commuting_residual == (commuting_ref if n >= 4 else 0.0)
+        assert report.passed == (ybe_ref <= ybe_tol and (n < 4 or commuting_ref <= ybe_tol))
+
+
+def test_quasitriangular_of_a_monomial_builds_no_operator_and_no_ybe_check(monkeypatch):
+    cases = []
+    for d in (2, 3, 4, 8, 16):
+        for seed, kind in enumerate(["gate", "permutation", "array"]):
+            R = drawn_monomial(d, seed, kind, unimodular=seed != 1)
+            cases.append((R, reference_quasitriangular(R, d)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built again or checked again")
+
+    monkeypatch.setattr(OperatorMatrix, "monomial", refuse)
+    monkeypatch.setattr(OperatorMatrix, "__init__", refuse)
+    monkeypatch.setattr(braid_module, "check_ybe", refuse)
+    for R, residual in cases:
+        quasi = check_quasitriangular(R)
+        assert quasi.residual == residual == quasi.induced_ybe.residual

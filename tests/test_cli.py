@@ -77,6 +77,28 @@ def test_classify_w_matches_golden(capsys):
     assert out == (GOLDEN / "classify_w.json").read_text()
 
 
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        # a two-qubit family gate: its Yang-Baxter residual is rounding, pinned here
+        (["braid", "--r-file", "braid_d2.json", "--strands", "4", "--json"], "braid_d2.json"),
+        (["braid", "--r-file", "braid_d3.json", "--strands", "4", "--json"], "braid_d3.json"),
+        (
+            ["entangler", "entangler_2x2.json", "--check-unitary", "--check-ybe", "--apply-uniform", "--json"],
+            "entangler_2x2.json",
+        ),
+    ],
+)
+def test_gate_commands_match_golden(capsys, monkeypatch, argv, golden):
+    monkeypatch.delenv(cli_module.TOL_ENV_VAR, raising=False)
+    argv = [str(GOLDEN / "inputs" / a) if a.endswith(".json") else a for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the golden, as in CI
+        code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert out == (GOLDEN / golden).read_text()
+
+
 def test_classify_product_state(capsys):
     code, out, _ = run(capsys, "classify", data_file("product_state.json"), "--json")
     assert code == EXIT_OK

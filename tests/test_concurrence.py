@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import itertools
 import math
+import pickle
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -819,12 +821,29 @@ def test_report_replace_equality_and_hash():
     assert hash(report) == hash((report.state, report.values, report.tol, report.verdict))
     assert classify(state, label="t") != report
     assert classify(state, 0.5, label="s") != report
-    assert dataclasses.replace(report, tol=0.5).tol == 0.5
+    with pytest.raises(ValueError, match=r"classify\(state, tol\)"):
+        dataclasses.replace(report, tol=0.5)
     assert report != (report.state, report.values, report.tol, report.verdict)
     assert len({report, again, flipped}) == 2
     assert repr(report) == (
         f"ConditionReport(state='s', values={report.values!r}, tol={report.tol!r}, verdict={Verdict.BOTH!r})"
     )
+
+
+def test_report_answers_at_the_tol_its_verdict_was_decided_at():
+    g = np.random.default_rng(1)
+    state = PureState((2,) * 4, g.normal(size=16) + 1j * g.normal(size=16))
+    report = classify(state)
+    assert report.verdict is Verdict.BOTH
+    # at tol 0.9 no condition fires, so a report carrying tol 0.9 and the verdict BOTH would contradict itself
+    assert classify(state, 0.9).verdict is Verdict.NO_CONDITION_FIRES
+    with pytest.raises(ValueError, match=r"decided at tol=1e-09, not tol=0\.9; classify\(state, tol\)"):
+        dataclasses.replace(report, tol=0.9)
+    assert dataclasses.replace(report, tol=report.tol) == report
+    flipped = dataclasses.replace(report, verdict=Verdict.GHZ_CLASS_CONDITIONS)
+    assert flipped.verdict is Verdict.GHZ_CLASS_CONDITIONS and flipped.tol == report.tol
+    for again in (pickle.loads(pickle.dumps(report)), copy.copy(report), copy.deepcopy(report)):
+        assert again == report and hash(again) == hash(report) and again.tol == report.tol
 
 
 def test_verdicts_and_checks_build_no_condition_value(monkeypatch):

@@ -48,6 +48,13 @@ def test_build_r_all_ones_is_interior_reversal_permutation():
     assert np.array_equal(r, expected)
 
 
+def test_reversal_equals_index_trick_form():
+    for dim in range(2, 65):
+        expected = np.r_[0, dim - 2 : 0 : -1, dim - 1]
+        s = entangler_module._reversal(dim)
+        assert s.dtype == expected.dtype and np.array_equal(s, expected), dim
+
+
 def test_build_r_two_qubit_placement():
     r = build_r(EntanglerSpec(2, 2, [1, 1, 1, -1])).mat
     expected = np.diag([1, 0, 0, -1.0 + 0j]) + np.fliplr(np.diag([0, 1, 1, 0.0 + 0j]))

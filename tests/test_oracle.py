@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -222,6 +223,103 @@ def test_three_tangle_equals_numpy_scalar_reference_bitwise(seed, nonzero, scale
     assert three_tangle(state) == _three_tangle_reference(state)
     for fixed in (ghz_state(), w_state(), random_product((2, 2, 2))):
         assert three_tangle(fixed) == _three_tangle_reference(fixed)
+
+
+# The exact three-tangle of the float input.  With a the amplitudes as given
+# (unnormalized) and D = d1 - 2 d2 + 4 d3 their degree-4 form,
+# tau = 4 |D| / n2^2, so tau^2 = 16 |D|^2 / n2^4 is a rational number, exact
+# over (re, im) Fraction pairs of the dyadic floats.
+#
+# Bound on |three_tangle - tau|, first order in u = eps/2, for b = a/sqrt(n2)
+# (sum |b|^2 = 1; a power-of-two rescaling first changes no bits):
+# * n2 = sum |a_j|^2: |a_j| within u (hypot), its square within 3u, the sum of
+#   8 nonnegative terms within 7u more, so 10u; sqrt(n2) within 5u + u; each
+#   normalized component a_j / sqrt(n2) within 7u.  Every term of D is a product
+#   of 4 of them, so D moves by at most 4 * 7u * S, where S is the sum of
+#   |coefficient * term| over D's 12 terms.
+# * each term takes 3 complex products, each within sqrt(2) gamma_2 (2.83u),
+#   so 8.49u; the scalings by 2 and 4 are exact; no term passes through more
+#   than 7 complex additions, each rounding re and im separately, so the sums
+#   add gamma_7 S (Minkowski turns the per-part bounds into one on modulus).
+# * abs() is within 1 ulp (2u); the final 4 * is exact.
+# * S <= 1: with q_i = |b_x b_~x| <= s_i / 2 over the 4 complementary pairs
+#   (s_i = |b_x|^2 + |b_~x|^2, sum s_i = 1), d1 <= sum q_i^2 <= 1/4,
+#   2 d2 <= (sum q_i)^2 - sum q_i^2 <= 1/4, and each d3 term is a product of
+#   4 distinct |b| of squared sum t, at most (t/4)^2 by AM-GM, so 4 d3 <= 1/4.
+# Together 4 (28 + 8.49 + 7 + 2) u S <= 182u = 91 eps; TANGLE_BOUND leaves
+# room for the second-order terms and for underflow in sparse inputs, which is
+# absolute and far below eps.
+TANGLE_BOUND = Fraction(128) * Fraction(np.finfo(float).eps)
+
+
+def _pair(z):
+    return Fraction(*z.real.as_integer_ratio()), Fraction(*z.imag.as_integer_ratio())
+
+
+def _times(*factors):
+    re, im = Fraction(1), Fraction(0)
+    for x, y in factors:
+        re, im = re * x - im * y, re * y + im * x
+    return re, im
+
+
+def exact_tangle_squared(state):
+    """tau^2 = 16 |d1 - 2 d2 + 4 d3|^2 / n2^4 of the unnormalized float amplitudes, exactly."""
+    a = [_pair(z) for z in state.amps.tolist()]
+
+    def g(i, j, k):  # 0-based qubit digits
+        return a[4 * i + 2 * j + k]
+
+    # the four complementary pairs x, ~x and their products
+    pairs = [_times(g(i, j, k), g(1 - i, 1 - j, 1 - k)) for i, j, k in [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]]
+    d1 = [_times(p, p) for p in pairs]
+    d2 = [_times(p, q) for p, q in itertools.combinations(pairs, 2)]
+    d3 = [
+        _times(g(0, 0, 0), g(1, 1, 0), g(1, 0, 1), g(0, 1, 1)),
+        _times(g(1, 1, 1), g(0, 0, 1), g(0, 1, 0), g(1, 0, 0)),
+    ]
+    re = sum(t[0] for t in d1) - 2 * sum(t[0] for t in d2) + 4 * sum(t[0] for t in d3)
+    im = sum(t[1] for t in d1) - 2 * sum(t[1] for t in d2) + 4 * sum(t[1] for t in d3)
+    n2 = sum(x * x + y * y for x, y in a)
+    return 16 * (re * re + im * im) / n2**4
+
+
+def drawn_three_qubit_state(g, kind):
+    if kind == "random":
+        return PureState((2, 2, 2), g.normal(size=8) + 1j * g.normal(size=8))
+    if kind == "sparse":
+        nonzero = int(g.integers(1, 5))
+        a = np.zeros(8, dtype=complex)
+        a[g.choice(8, nonzero, replace=False)] = g.normal(size=nonzero) + 1j * g.normal(size=nonzero)
+        return PureState((2, 2, 2), a)
+    if kind == "product":
+        return product_state([PureState((2,), g.normal(size=2) + 1j * g.normal(size=2)) for _ in range(3)])
+    base = {"ghz": ghz_state(), "w": w_state()}.get(kind, None)
+    if base is not None:
+        return base
+    # local unitaries on a GHZ, W or random state: tau is unchanged, the float input is not
+    start = [ghz_state(), w_state(), PureState((2, 2, 2), g.normal(size=8) + 1j * g.normal(size=8))][int(g.integers(3))]
+    unitaries = []
+    for _ in range(3):
+        q, r = np.linalg.qr(g.normal(size=(2, 2)) + 1j * g.normal(size=(2, 2)))
+        unitaries.append(q * (np.diag(r) / np.abs(np.diag(r))))
+    return PureState((2, 2, 2), kron_all(unitaries) @ start.amps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["random", "sparse", "product", "ghz", "w", "rotated"]),
+    st.sampled_from([1.0, 2.0**-600, 2.0**600]),
+)
+def test_three_tangle_within_bound_of_exact_value(seed, kind, scale):
+    state = drawn_three_qubit_state(np.random.default_rng(seed), kind)
+    state = PureState((2, 2, 2), scale * state.amps)
+    exact = exact_tangle_squared(state)
+    t = Fraction(three_tangle(state))
+    # |t - tau| <= TANGLE_BOUND with tau = sqrt(exact) >= 0, compared without a square root
+    assert exact <= (t + TANGLE_BOUND) ** 2
+    assert t <= TANGLE_BOUND or (t - TANGLE_BOUND) ** 2 <= exact
 
 
 # ---------------------------------------------------------------------------
