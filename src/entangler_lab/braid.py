@@ -36,12 +36,12 @@ multiplication is not associative in floating point, so the grouping is part
 of the residual.  The commuting products multiply the R (x) I value first
 on both sides, so a monomial R commutes with residual exactly 0.0, as the
 dense path gives.  A monomial `OperatorMatrix`, such as every gate `build_r`
-returns, hands its stored pair to each check, so no d^2 x d^2 matrix is
-formed or scanned; a dense matrix is scanned once per check for the pair.
+returns or `StrandRep` keeps of a monomial array after one scan, hands its
+stored pair to each check, so no d^2 x d^2 matrix is formed or scanned.
 The quasitriangular check gathers the rows of P R from that pair and reads
 their residual directly.  The 3-strand windows are d^3 x d^3 when dense, and
-the n-strand representation d^n; both are held to MAX_TOTAL_DIM and refused
-before the first allocation, whichever path would run.
+the n-strand representation d^n; `_require_cap` holds both to MAX_TOTAL_DIM
+before the first allocation or scan, whichever path would run.
 
 The family's two-strand gates (m = 2, N = d).  Write R|c> = alpha_c |s(c)>
 for the corner-fixing interior reversal s on pairs of digits, and let
@@ -96,12 +96,16 @@ def _dense(R: OperatorMatrix | np.ndarray) -> np.ndarray:
     return R.mat if isinstance(R, OperatorMatrix) else R
 
 
+def _require_cap(what: str, d: int, n: int) -> None:
+    """Refuse a d^n-dimensional `what` over MAX_TOTAL_DIM; `what` opens the message."""
+    # d >= 2, so n beyond the cap's bit length is over it: d**n is never formed
+    if n > MAX_TOTAL_DIM.bit_length() or d**n > MAX_TOTAL_DIM:
+        raise ValueError(f"{what} {d}^{n} exceeds the dense-verification cap {MAX_TOTAL_DIM}")
+
+
 def require_ybe_window(d: int) -> None:
     """Refuse a strand dimension whose d^3 x d^3 Yang-Baxter window exceeds the cap."""
-    if d**3 > MAX_TOTAL_DIM:
-        raise ValueError(
-            f"Yang-Baxter window dimension {d}^3 exceeds the dense-verification cap {MAX_TOTAL_DIM}"
-        )
+    _require_cap("Yang-Baxter window dimension", d, 3)
 
 
 @dataclass(frozen=True)
@@ -133,21 +137,21 @@ class QuasitriangularResult:
 class StrandRep:
     """The n-strand representation induced by R, checked against MAX_TOTAL_DIM.
 
-    `operator` is R as given (an OperatorMatrix stays one), and the relation
-    checks read it.  `R` is its dense matrix, read only by `generator(i)`,
-    which builds the dense d^n x d^n matrix tau(b_i) on every call; the
-    relation checks never need either.
+    `operator` is R as the checks read it: an OperatorMatrix as given, an
+    array scanned once (after the cap check) and kept as a monomial
+    OperatorMatrix when it is one.  `R` is its dense matrix, read only by
+    `generator(i)`, which builds the dense d^n x d^n matrix tau(b_i) on every
+    call; the relation checks never need either.
     """
 
     def __init__(self, n: int, R: OperatorMatrix | np.ndarray):
         if n < 2:
             raise ValueError("need at least two strands")
         op, d = _two_strand(R)
-        # d >= 2, so n beyond the cap's bit length is over it: d**n is never formed
-        if n > MAX_TOTAL_DIM.bit_length() or d**n > MAX_TOTAL_DIM:
-            raise ValueError(
-                f"total dimension {d}^{n} exceeds the dense-verification cap {MAX_TOTAL_DIM}"
-            )
+        _require_cap("total dimension", d, n)
+        entries = None if isinstance(op, OperatorMatrix) else monomial_entries(op)
+        if entries is not None:
+            op = OperatorMatrix.monomial((d * d,), *entries)
         self.n = n
         self.v_dim = d
         self.operator = op

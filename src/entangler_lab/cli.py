@@ -42,8 +42,8 @@ from .entangler import (
     coefficient_state,
     phase_swap_decomposition,
 )
-from .oracle import OracleVerdict, oracle_classify, verdicts_agree
-from .state_core import DEFAULT_TOL, OperatorMatrix, PureState, monomial_entries, uniform_input
+from .oracle import OracleVerdict, crosscheck
+from .state_core import DEFAULT_TOL, PureState, uniform_input
 
 SCHEMA_VERSION = 1
 TOL_ENV_VAR = "ENTANGLER_LAB_TOL"
@@ -267,10 +267,10 @@ def _state_analysis(state: PureState, tol: float, label: str | None) -> dict:
         "conditions": _conditions_list(report),
         "verdict": report.verdict.value,
     }
-    if state.dims == (2, 2, 2):
-        oracle = oracle_classify(state, tol)
+    oracle, agreement = crosscheck(state, report.verdict, tol)
+    if oracle is not None:
         doc["oracle"] = _oracle_dict(oracle)
-        doc["agreement"] = "AGREE" if verdicts_agree(report.verdict, oracle) else "DISAGREE"
+        doc["agreement"] = agreement
     return doc
 
 
@@ -386,16 +386,10 @@ def _cmd_entangler(args, out) -> int:
 def _cmd_braid(args, out) -> int:
     mat = _parse_matrix_file(_load_json(args.r_file), args.r_file)
     tol = _resolve_tol(args.tol)
-    # scanned once: a monomial matrix goes to every check as its (cols, values) pair
-    entries = monomial_entries(mat)
-    r = mat if entries is None else OperatorMatrix.monomial((len(mat),), *entries)
-    try:
-        rep = StrandRep(args.strands, r)
-        ybe = check_ybe(r, tol)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    rep = StrandRep(args.strands, mat)  # the checks read R as StrandRep kept it, scanned once
+    ybe = check_ybe(rep.operator, tol)
     relations = check_braid_relations(rep, tol, ybe)
-    quasi = check_quasitriangular(r, tol)
+    quasi = check_quasitriangular(rep.operator, tol)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "braid",

@@ -29,7 +29,7 @@ import numpy as np
 
 from .class_operators import ClassKind
 from .concurrence import ConditionReport, classify
-from .oracle import OracleVerdict, oracle_classify, verdicts_agree
+from .oracle import OracleVerdict, crosscheck
 from .state_core import DEFAULT_TOL, OperatorMatrix, PureState, monomial_entries, uniform_input
 
 
@@ -219,10 +219,7 @@ def proposition_check(
         state = apply_entangler(spec, uniform_input(spec.m, spec.N))
     report = classify(state, tol, label=f"{evaluation_target.value} of {spec.m}x{spec.N} gate")
     fires = report.fired(kind)
-    oracle = agreement = None
-    if state.dims == (2, 2, 2):
-        oracle = oracle_classify(state, tol)
-        agreement = "AGREE" if verdicts_agree(report.verdict, oracle) else "DISAGREE"
+    oracle, agreement = crosscheck(state, report.verdict, tol)
     return PropositionCheck(
         kind=kind,
         target=evaluation_target,

@@ -23,6 +23,10 @@ Unfoldings are formed one at a time, so the extra memory is O(d).
 `partial_trace`, `DensityMatrix`, `wootters_concurrence` and `three_tangle`
 stay the validating public API for user-given states and matrices, and the
 tests' per-marginal reference for the stacked pass.
+
+`crosscheck` owns the cross-check rule: only three-qubit states, whose W/GHZ
+labels a condition verdict can be checked against, get an oracle verdict and
+an AGREE/DISAGREE flag.
 """
 
 from __future__ import annotations
@@ -277,14 +281,7 @@ def oracle_classify(state: PureState, tol: float = DEFAULT_TOL) -> OracleVerdict
     elif not candidates:
         candidates.append((StateClass.ENTANGLED, None))
 
-    priority = {
-        StateClass.PRODUCT: 0,
-        StateClass.BISEPARABLE: 1,
-        StateClass.GHZ_CLASS: 2,
-        StateClass.W_CLASS: 3,
-        StateClass.ENTANGLED: 4,
-    }
-    candidates.sort(key=lambda c: priority[c[0]])
+    # appended in priority order (GHZ_CLASS and W_CLASS exclude each other)
     label, split = candidates[0]
     ties = tuple(c[0] for c in candidates[1:])
     return OracleVerdict(
@@ -292,7 +289,7 @@ def oracle_classify(state: PureState, tol: float = DEFAULT_TOL) -> OracleVerdict
         pairwise_concurrence=pairwise,
         three_tangle=tangle,
         label=label,
-        split=split if label is StateClass.BISEPARABLE else None,
+        split=split,
         ties=ties,
     )
 
@@ -314,3 +311,11 @@ def verdicts_agree(verdict: Verdict, oracle: OracleVerdict) -> bool:
     if verdict is Verdict.GHZ_CLASS_CONDITIONS and oracle.label is StateClass.W_CLASS:
         return False
     return True
+
+
+def crosscheck(state: PureState, verdict: Verdict, tol: float) -> tuple[OracleVerdict | None, str | None]:
+    """`(oracle_classify(state, tol), "AGREE" | "DISAGREE")` for dims (2, 2, 2), else (None, None)."""
+    if state.dims != (2, 2, 2):
+        return None, None
+    oracle = oracle_classify(state, tol)
+    return oracle, "AGREE" if verdicts_agree(verdict, oracle) else "DISAGREE"

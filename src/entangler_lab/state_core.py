@@ -289,11 +289,8 @@ def product_state(factors: Sequence[PureState]) -> PureState:
     for i, f in enumerate(factors, start=1):
         if f.m != 1:
             raise ValueError(f"factor {i} must be a single-subsystem state, has m={f.m}")
-    amps = factors[0].amps
-    for f in factors[1:]:
-        amps = np.kron(amps, f.amps)
     dims = tuple(f.dims[0] for f in factors)
-    return PureState(dims, amps)
+    return PureState(dims, kron_all([f.amps for f in factors]))
 
 
 def uniform_input(m: int, N: int) -> PureState:

@@ -166,6 +166,22 @@ def test_braid_relations_reuse_a_given_ybe_result(monkeypatch):
     assert all(residual == ybe.residual for _, residual in report.adjacent)
 
 
+def test_braid_relations_scan_a_monomial_array_once(monkeypatch):
+    alpha = np.exp(1j * np.random.default_rng(22).uniform(0, 2 * np.pi, 16))
+    mat = build_r(EntanglerSpec(2, 4, alpha)).mat  # a 16 x 16 family gate, as an array
+    scans = []
+
+    def counting(op):
+        if isinstance(op, np.ndarray):
+            scans.append(op.shape)
+        return monomial_entries(op)
+
+    monkeypatch.setattr(braid_module, "monomial_entries", counting)
+    report = check_braid_relations(StrandRep(5, mat))
+    assert scans == [(16, 16)]
+    assert report.max_adjacent_residual == check_ybe(mat).residual
+
+
 def test_ybe_window_cap():
     require_ybe_window(16)  # 16^3 = 4096 is the cap
     with pytest.raises(ValueError, match="4096"):
@@ -192,6 +208,17 @@ def test_strand_validation():
     # refused without forming 2^(10^15), a number of 10^15 bits
     with pytest.raises(ValueError, match=r"2\^1000000000000000 exceeds the dense-verification cap 4096"):
         StrandRep(10**15, SWAP2)
+
+
+def test_strand_cap_refuses_an_array_before_scanning_it(monkeypatch):
+    def refuse(op):
+        raise AssertionError("matrix scanned")
+
+    monkeypatch.setattr(braid_module, "monomial_entries", refuse)
+    with pytest.raises(ValueError, match=r"total dimension 3\^8 exceeds the dense-verification cap 4096"):
+        StrandRep(8, build_r(EntanglerSpec(2, 3, np.ones(9))).mat)
+    with pytest.raises(ValueError, match=r"total dimension 2\^13 exceeds"):
+        StrandRep(13, np.ones((4, 4)))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

@@ -14,7 +14,7 @@ import pytest
 import entangler_lab.braid as braid_module
 import entangler_lab.cli as cli_module
 import entangler_lab.state_core as state_core_module
-from entangler_lab.braid import check_ybe, factor_swap
+from entangler_lab.braid import check_quasitriangular, check_ybe, factor_swap
 from entangler_lab.cli import EXIT_IO, EXIT_OK, EXIT_SCHEMA, format_float, main, render_json
 from entangler_lab.entangler import EntanglerSpec, build_r
 from entangler_lab.state_core import monomial_entries
@@ -92,6 +92,28 @@ def test_classify_w_matches_golden(capsys):
 def test_gate_commands_match_golden(capsys, monkeypatch, argv, golden):
     monkeypatch.delenv(cli_module.TOL_ENV_VAR, raising=False)
     argv = [str(GOLDEN / "inputs" / a) if a.endswith(".json") else a for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the golden, as in CI
+        code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert out == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["classify", data_file("ghz_state.json")], "classify_ghz.txt"),
+        (["entangler", "entangler_2x2.json", "--check-unitary", "--check-ybe", "--apply-uniform"], "entangler_2x2.txt"),
+        (["braid", "--r-file", "braid_d3.json", "--strands", "4"], "braid_d3.txt"),
+        # a seeded complex 4 x 4, not monomial: the dense residual path
+        (["braid", "--r-file", "braid_dense_d2.json", "--strands", "4"], "braid_dense_d2.txt"),
+        (["braid", "--r-file", "braid_dense_d2.json", "--strands", "4", "--json"], "braid_dense_d2.json"),
+    ],
+)
+def test_text_and_dense_reports_match_golden(capsys, monkeypatch, argv, golden):
+    monkeypatch.delenv(cli_module.TOL_ENV_VAR, raising=False)
+    # a bare .json name is read from golden/inputs; the bundled state file comes as a full path
+    argv = [str(GOLDEN / "inputs" / a) if a.endswith(".json") and not os.path.isabs(a) else a for a in argv]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy RuntimeWarning fails the golden, as in CI
         code, out, _ = run(capsys, *argv)
@@ -522,13 +544,18 @@ def test_braid_scans_a_monomial_matrix_once(tmp_path, monkeypatch, capsys):
             scans.append(op.shape)
         return monomial_entries(op)
 
-    argv = ("braid", "--r-file", path, "--strands", "4", "--json")
     monkeypatch.setattr(braid_module, "monomial_entries", counting)
-    monkeypatch.setattr(cli_module, "monomial_entries", lambda op: None)
-    code, per_check, _ = run(capsys, *argv)  # the checks get the array and each scans it
-    assert code == EXIT_OK and scans == [(9, 9)] * 3
-    scans.clear()
-    monkeypatch.setattr(cli_module, "monomial_entries", counting)
-    code, out, _ = run(capsys, *argv)
+    code, out, _ = run(capsys, "braid", "--r-file", path, "--strands", "4", "--json")
     assert code == EXIT_OK and scans == [(9, 9)]
-    assert out == per_check
+    # the residuals of the checks handed the raw array, each scanning it itself
+    ybe, quasi = check_ybe(mat), check_quasitriangular(mat)
+    expected = {
+        ("ybe", "residual"): ybe.residual,
+        ("braid_relations", "max_adjacent_residual"): ybe.residual,
+        ("braid_relations", "max_commuting_residual"): braid_module._commuting_residual(mat, 3),
+        ("quasitriangular", "residual"): quasi.residual,
+        ("quasitriangular", "induced_ybe_residual"): quasi.induced_ybe.residual,
+    }
+    doc = json.loads(out)
+    for (section, key), value in expected.items():
+        assert doc[section][key] == float(format_float(value)), (section, key)

@@ -387,6 +387,15 @@ def test_verdicts_disagree_on_contradiction():
     assert not verdicts_agree(Verdict.W_CLASS_CONDITIONS, oracle_classify(ghz_state()))
 
 
+def test_crosscheck_labels_three_qubits_only():
+    state = ghz_state()
+    verdict, agreement = oracle.crosscheck(state, Verdict.GHZ_CLASS_CONDITIONS, DEFAULT_TOL)
+    assert verdict == oracle_classify(state) and agreement == "AGREE"
+    assert oracle.crosscheck(state, Verdict.W_CLASS_CONDITIONS, DEFAULT_TOL)[1] == "DISAGREE"
+    for other in (ghz_state(4), ghz_state(3, 3), w_state(2)):
+        assert oracle.crosscheck(other, Verdict.GHZ_CLASS_CONDITIONS, DEFAULT_TOL) == (None, None)
+
+
 def test_verdicts_agree_biseparable_with_pair_conditions():
     amps = np.kron(np.array([1, 0]), bell_state().amps)
     state = PureState((2, 2, 2), amps)
